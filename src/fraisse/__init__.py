@@ -27,7 +27,7 @@ from .chains import (
     certify_extension,
     nuclearity_witness,
 )
-from .lp import LPError, LPInfeasible, LPUnbounded, solve_lp
+from .lp import LPError, LPInfeasible, LPUnbounded, solve_lp, use_engine
 from .spaces import (
     BANACH,
     FUNCTION_SYSTEM,
@@ -137,5 +137,6 @@ __all__ = [
     "trace_states",
     "unital",
     "universal",
+    "use_engine",
     "verify_certificate",
 ]

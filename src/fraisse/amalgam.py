@@ -71,7 +71,7 @@ def _recheck_nap(inputs):
     return map_dist(i @ f_x, j @ f_y)
 
 
-def nap_amalgamate(f_x, f_y, delta=None, modulus=BANACH, engine=None):
+def nap_amalgamate(f_x, f_y, delta=None, modulus=BANACH):
     """Amalgamate two almost-embeddings of E into injective targets.
 
     f_x: E -> X, f_y: E -> Y with distortion <= delta, X and Y identity
@@ -85,16 +85,16 @@ def nap_amalgamate(f_x, f_y, delta=None, modulus=BANACH, engine=None):
     if not (f_x.cod.is_linf and f_y.cod.is_linf):
         raise ValueError("amalgamation targets must be identity normed")
     if delta is None:
-        delta = max(f_x.distortion(engine=engine), f_y.distortion(engine=engine))
+        delta = max(f_x.distortion(), f_y.distortion())
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
-    h_x = extend_morphism(f_x, f_y, delta=delta, modulus=modulus, check=False, engine=engine)
-    h_y = extend_morphism(f_y, f_x, delta=delta, modulus=modulus, check=False, engine=engine)
+    h_x = extend_morphism(f_x, f_y, delta=delta, modulus=modulus, check=False)
+    h_y = extend_morphism(f_y, f_x, delta=delta, modulus=modulus, check=False)
     nx, ny = f_x.cod.dim, f_y.cod.dim
     z = LinfSpace(nx + ny)
     i = LinearMap(f_x.cod, z, np.vstack([np.eye(nx), h_x.matrix]))
     j = LinearMap(f_y.cod, z, np.vstack([h_y.matrix, np.eye(ny)]))
-    defect = map_dist(i @ f_x, j @ f_y, engine=engine)
+    defect = map_dist(i @ f_x, j @ f_y)
     return AmalgamResult(z, i, j, defect, delta, modulus)
 
 
@@ -161,7 +161,7 @@ def _coords_in(basis, vectors, what):
         raise ValueError(f"{what}: generators do not lie in the constructed span (residual {resid:.3e})")
     return sol
 
-def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None, over_tuple=None, engine=None):
+def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None):
     """Push f: X -> Y out along the almost-embedding phi: X -> Xhat.
 
     The witness family holds one scalar pair per norming row h of Y: a
@@ -172,28 +172,27 @@ def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None, over_tu
     fhat becomes isometric too. Yhat is the linear span of both ranges in
     the sup-product of the family. extra_pairs (tag "extra") are appended
     verbatim: contraction pairs the caller wants carried as coordinates.
-    over_tuple restricts the measured defect to a tuple of domain vectors.
     """
     if phi.dom.dim != f.dom.dim:
         raise ValueError("phi and f must share their domain")
     if delta is None:
-        delta = phi.distortion(engine=engine)
+        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
-    if phi.distortion(engine=engine) > delta + MORPHISM_TOL:
+    if phi.distortion() > delta + MORPHISM_TOL:
         raise ValueError("phi has more distortion than promised")
-    if f.op_norm(engine=engine) > 1.0 + MORPHISM_TOL:
+    if f.op_norm() > 1.0 + MORPHISM_TOL:
         raise ValueError("f must be a contraction")
     one = LinfSpace(1)
     family = []
     for row in f.cod.norming:
         hf = LinearMap(f.dom, one, (row @ f.matrix).reshape(1, -1))
-        g = extend_morphism(phi, hf, delta=delta, modulus=modulus, check=False, engine=engine)
+        g = extend_morphism(phi, hf, delta=delta, modulus=modulus, check=False)
         family.append(("cod", g.matrix.ravel().copy(), row.copy()))
-    if f.distortion(engine=engine) <= delta + MORPHISM_TOL:
+    if f.distortion() <= delta + MORPHISM_TOL:
         for row in phi.cod.norming:
             gp = LinearMap(phi.dom, one, (row @ phi.matrix).reshape(1, -1))
-            h = extend_morphism(f, gp, delta=delta, modulus=modulus, check=False, engine=engine)
+            h = extend_morphism(f, gp, delta=delta, modulus=modulus, check=False)
             family.append(("dom", row.copy(), h.matrix.ravel().copy()))
     for g, h in extra_pairs or []:
         family.append(("extra", np.asarray(g, dtype=float).copy(), np.asarray(h, dtype=float).copy()))
@@ -205,11 +204,7 @@ def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None, over_tu
     yhat = NormedSpace(basis, label="pushout")
     fhat = LinearMap(phi.cod, yhat, _coords_in(basis, g_rows, "pushout fhat"))
     j = LinearMap(f.cod, yhat, _coords_in(basis, h_rows, "pushout j"))
-    if over_tuple is None:
-        defect = map_dist(fhat @ phi, j @ f, engine=engine)
-    else:
-        diff = fhat @ phi - j @ f
-        defect = max(yhat.norm(diff.apply(a)) for a in over_tuple)
+    defect = map_dist(fhat @ phi, j @ f)
     return PushoutResult(yhat, fhat, j, family, defect, delta, modulus)
 
 
@@ -245,15 +240,15 @@ class ArrowMorphism:
         self.a0 = a0
         self.a1 = a1
 
-    def square_defect(self, engine=None):
-        return map_dist(self.dst.t @ self.a0, self.a1 @ self.src.t, engine=engine)
+    def square_defect(self):
+        return map_dist(self.dst.t @ self.a0, self.a1 @ self.src.t)
 
-    def distortion(self, engine=None):
+    def distortion(self):
         """Arrow-level distortion: component distortions plus the square defect."""
         return max(
-            self.a0.distortion(engine=engine),
-            self.a1.distortion(engine=engine),
-            self.square_defect(engine=engine),
+            self.a0.distortion(),
+            self.a1.distortion(),
+            self.square_defect(),
         )
 
     def compose(self, other):
@@ -308,7 +303,7 @@ def _recheck_arrow(inputs):
     return max(d0, d1)
 
 
-def arrow_pushout(phi, f, delta=None, modulus=BANACH, engine=None):
+def arrow_pushout(phi, f, delta=None, modulus=BANACH):
     """Amalgamate the arrows phi.dst and f.dst over their common source arrow.
 
     phi: T -> That with arrow distortion <= delta, f: T -> S an exact
@@ -325,20 +320,20 @@ def arrow_pushout(phi, f, delta=None, modulus=BANACH, engine=None):
     ):
         raise ValueError("phi and f must start at the same arrow")
     if delta is None:
-        delta = phi.distortion(engine=engine)
+        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
-    if f.square_defect(engine=engine) > MORPHISM_TOL:
+    if f.square_defect() > MORPHISM_TOL:
         raise ValueError("f must intertwine exactly (up to tolerance)")
 
-    d1 = approx_pushout(phi.a1, f.a1, delta=delta, modulus=modulus, engine=engine)
+    d1 = approx_pushout(phi.a1, f.a1, delta=delta, modulus=modulus)
     u = d1.fhat @ phi.dst.t
     v = d1.j @ f.dst.t
     arrow_rows = [
         (row @ u.matrix, row @ v.matrix) for row in d1.yhat.norming
     ]
     base_d0 = approx_pushout(
-        phi.a0, f.a0, delta=delta, modulus=modulus, extra_pairs=arrow_rows, engine=engine
+        phi.a0, f.a0, delta=delta, modulus=modulus, extra_pairs=arrow_rows
     )
     # The arrow witnesses sit in the last k1 rows of the domain pushout's
     # presentation (family order is preserved by the basis pick), so reading

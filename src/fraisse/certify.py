@@ -114,6 +114,7 @@ class Certificate:
             "slack": fmt_real(self.slack),
             "tol": fmt_real(self.tol),
             "pass": self.passed,
+            "payload": self.payload,
         }
 
     @staticmethod
@@ -124,6 +125,7 @@ class Certificate:
             parse_real(obj["bound"]),
             parse_real(obj["measured"]),
             tol=parse_real(obj.get("tol", fmt_real(1e-9))),
+            payload=obj.get("payload", {}),
         )
         recorded_hash = obj.get("inputs_hash")
         if recorded_hash is not None and recorded_hash != cert.inputs_hash:

@@ -31,7 +31,7 @@ from .certify import (
     space_from_json,
     space_to_json,
 )
-from .lp import LPInfeasible, solve_lp
+from .lp import LPBuilder, LPInfeasible, solve_lp
 from .spaces import (
     BANACH,
     MORPHISM_TOL,
@@ -340,7 +340,6 @@ def build_gurarij_chain(
     modulus=BANACH,
     net_cap=400,
     extend_per_step=4,
-    engine=None,
 ):
     """Deterministic finite approximation of the universal separable stage tower.
 
@@ -385,7 +384,7 @@ def build_gurarij_chain(
                 continue
             f_z = lift @ f
             try:
-                res = nap_amalgamate(f_z, phi, delta=max(delta, 1e-12), modulus=modulus, engine=engine)
+                res = nap_amalgamate(f_z, phi, delta=max(delta, 1e-12), modulus=modulus)
             except (ValueError, LPInfeasible):
                 continue
             z = res.z
@@ -401,9 +400,9 @@ def build_gurarij_chain(
         for (source, f, kk, phi, m, delta), g in pending:
             if g.cod.dim != z.dim:
                 raise RuntimeError("fold bookkeeping broke")
-            defect = map_dist(g @ phi, lift @ f, engine=engine)
+            defect = map_dist(g @ phi, lift @ f)
             records.append(
-                _record(source, f, kk, phi, g, m, "amalgam", delta, defect, g.distortion(engine=engine))
+                _record(source, f, kk, phi, g, m, "amalgam", delta, defect, g.distortion())
             )
 
         extended = 0
@@ -412,11 +411,11 @@ def build_gurarij_chain(
                 continue
             f_top = lift @ f
             try:
-                g = extend_morphism(phi, f_top, delta=dphi, modulus=modulus, engine=engine)
+                g = extend_morphism(phi, f_top, delta=dphi, modulus=modulus)
             except (ValueError, LPInfeasible):
                 continue
-            defect = map_dist(g @ phi, f_top, engine=engine)
-            g_dist = g.distortion(engine=engine) if g.op_norm(engine=engine) <= 1.0 + MORPHISM_TOL else float("inf")
+            defect = map_dist(g @ phi, f_top)
+            g_dist = g.distortion() if g.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
             records.append(
                 _record(source, f, k - 1, phi, g, k, "extend", max(dphi, df), defect, g_dist)
             )
@@ -439,70 +438,7 @@ def build_gurarij_chain(
 # certified extension into a chain
 
 
-class _LPBuilder:
-    """Sparse assembler for block LPs over free variables."""
-
-    def __init__(self):
-        self.n = 0
-        self.ub = []
-        self.ub_b = []
-        self.eq = []
-        self.eq_b = []
-
-    def new_vars(self, k):
-        lo = self.n
-        self.n += k
-        return list(range(lo, lo + k))
-
-    def add_ub(self, coeffs, b):
-        self.ub.append(dict(coeffs))
-        self.ub_b.append(b)
-
-    def add_eq(self, coeffs, b):
-        self.eq.append(dict(coeffs))
-        self.eq_b.append(b)
-
-    def solve(self, objective, maximize=False, engine=None):
-        c = np.zeros(self.n)
-        for i, v in objective.items():
-            c[i] = v
-        a_ub = np.zeros((len(self.ub), self.n))
-        for r, row in enumerate(self.ub):
-            for i, v in row.items():
-                a_ub[r, i] = v
-        a_eq = np.zeros((len(self.eq), self.n))
-        for r, row in enumerate(self.eq):
-            for i, v in row.items():
-                a_eq[r, i] = v
-        return solve_lp(
-            c,
-            a_ub=a_ub if len(self.ub) else None,
-            b_ub=np.array(self.ub_b) if len(self.ub) else None,
-            a_eq=a_eq if len(self.eq) else None,
-            b_eq=np.array(self.eq_b) if len(self.eq) else None,
-            maximize=maximize,
-            engine=engine,
-        )
-
-
-def _abs_block(builder, size, budget_coeffs, budget_rhs):
-    """Variables lam with sum |lam| <= budget, as split positives.
-
-    Returns (plus, minus) index lists; the signed value is plus - minus.
-    budget_coeffs maps extra variable indices into the budget row (for a
-    variable bound like sum |lam| <= t, pass {t: -1} and rhs 0).
-    """
-    plus = builder.new_vars(size)
-    minus = builder.new_vars(size)
-    for v in plus + minus:
-        builder.add_ub({v: -1.0}, 0.0)
-    row = {v: 1.0 for v in plus + minus}
-    row.update(budget_coeffs)
-    builder.add_ub(row, budget_rhs)
-    return plus, minus
-
-
-def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, extra_lower=None, defect_cap=None, engine=None):
+def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, extra_lower=None, defect_cap=None):
     """Scan every contraction g: dom -> cod against the defect of g . phi.
 
     cod is identity normed; rows of g are constrained to the dual ball of
@@ -514,54 +450,37 @@ def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, extra_lower=None
     least the margin -- is maximized instead, spending the allowed slack
     on isometric behaviour along the chosen directions.
     """
-    n_d, n_s = dom.dim, source.dim
-    m = cod.dim
-    builder = _LPBuilder()
-    gvars = [builder.new_vars(n_d) for _ in range(m)]
-    tvar = builder.new_vars(1)[0]
-    w_dom = dom.norming
-    w_src = source.norming
-    for i in range(m):
-        lp, lm = _abs_block(builder, w_dom.shape[0], {}, 1.0)
-        for c in range(n_d):
-            coeffs = {gvars[i][c]: 1.0}
-            for l in range(w_dom.shape[0]):
-                coeffs[lp[l]] = coeffs.get(lp[l], 0.0) - w_dom[l, c]
-                coeffs[lm[l]] = coeffs.get(lm[l], 0.0) + w_dom[l, c]
-            builder.add_eq(coeffs, 0.0)
-        mp, mm = _abs_block(builder, w_src.shape[0], {tvar: -1.0}, 0.0)
-        for e in range(n_s):
-            coeffs = {}
-            for c in range(n_d):
-                if phi_mat[c, e] != 0.0:
-                    coeffs[gvars[i][c]] = coeffs.get(gvars[i][c], 0.0) + phi_mat[c, e]
-            for l in range(w_src.shape[0]):
-                coeffs[mp[l]] = coeffs.get(mp[l], 0.0) - w_src[l, e]
-                coeffs[mm[l]] = coeffs.get(mm[l], 0.0) + w_src[l, e]
-            builder.add_eq(coeffs, target_mat[i, e])
+    n_d = dom.dim
+    lp = LPBuilder()
+    g = lp.new_vars(cod.dim, n_d)
+    t = lp.new_vars()
+    for i in range(cod.dim):
+        lam = lp.new_vars(2 * dom.rows)
+        rep = lp.dual_ball_rep(lam, dom.norming, 1.0)
+        lp.add_eq(np.zeros(n_d), (g[i], np.eye(n_d)), (lam, -rep))
+        mu = lp.new_vars(2 * source.rows)
+        rep = lp.dual_ball_rep(mu, source.norming, 0.0, (t, -1.0))
+        lp.add_eq(target_mat[i], (g[i], phi_mat.T), (mu, -rep))
     if defect_cap is None:
         for (i, x, s) in extra_lower or []:
-            builder.add_ub({gvars[i][c]: -s * x[c] for c in range(n_d)}, 0.0)
-        res = builder.solve({tvar: 1.0}, maximize=False, engine=engine)
+            lp.add_ub(0.0, (g[i], -s * x))
+        res = lp.solve(t)
     else:
-        mvar = builder.new_vars(1)[0]
-        builder.add_ub({tvar: 1.0}, defect_cap)
+        margin = lp.new_vars()
+        lp.add_ub(defect_cap, (t, 1.0))
         for (i, x, s) in extra_lower or []:
-            row = {gvars[i][c]: -s * x[c] for c in range(n_d)}
-            row[mvar] = 1.0
-            builder.add_ub(row, 0.0)
-        res = builder.solve({mvar: 1.0}, maximize=True, engine=engine)
-    g = np.array([[res.x[gvars[i][c]] for c in range(n_d)] for i in range(m)])
-    return g, res.value
+            lp.add_ub(0.0, (g[i], -s * x), (margin, 1.0))
+        res = lp.solve(margin, maximize=True)
+    return res.x[g], res.value
 
 
-def _extreme_directions(space, engine=None):
+def _extreme_directions(space):
     """One unit-sphere extreme point per sign orthant (up to antipodes),
     found by supporting the ball against each signed coordinate sum."""
     out = []
     for bits in itertools.product([1.0, -1.0], repeat=space.dim - 1):
         sigma = np.array((1.0,) + bits)
-        res = solve_lp(sigma, *space.ball_constraints(1.0), maximize=True, engine=engine)
+        res = solve_lp(sigma, *space.ball_constraints(1.0), maximize=True)
         out.append(res.x)
     return out
 
@@ -598,7 +517,7 @@ def _recheck_extension(inputs):
     return map_dist(g @ phi, f)
 
 
-def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1, engine=None):
+def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1):
     """Find and certify g: F -> stage_m with g . phi close to the lift of f.
 
     Four candidate routes: plain extension along phi (defect bound
@@ -613,31 +532,31 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
     modulus = modulus_from_json(chain.params.get("modulus", {"kind": "banach"}))
     m = chain.depth if target_stage is None else target_stage
     if delta is None:
-        delta = max(phi.distortion(engine=engine), f.distortion(engine=engine))
+        delta = max(phi.distortion(), f.distortion())
     j = chain.connecting(k, m)
     f_top = j @ f
     bound = modulus(delta) + slack
     candidates = []
 
-    g_a = extend_morphism(phi, f_top, delta=delta, modulus=modulus, check=False, engine=engine)
+    g_a = extend_morphism(phi, f_top, delta=delta, modulus=modulus, check=False)
     candidates.append(("extend", g_a))
 
     try:
-        po = approx_pushout(phi, f_top, delta=max(delta, 1e-12), modulus=modulus, engine=engine)
-        r = extend_morphism(po.j, LinearMap.identity(chain.stages[m]), delta=0.0, modulus=modulus, check=False, engine=engine)
+        po = approx_pushout(phi, f_top, delta=max(delta, 1e-12), modulus=modulus)
+        r = extend_morphism(po.j, LinearMap.identity(chain.stages[m]), delta=0.0, modulus=modulus, check=False)
         candidates.append(("pushout_retract", r @ po.fhat))
     except (ValueError, LPInfeasible):
         pass
 
     g_mat, _ = _best_contraction_lp(
-        phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom, engine=engine
+        phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom
     )
     candidates.append(("joint_lp", LinearMap(phi.cod, chain.stages[m], g_mat)))
 
     scored = []
     for mode, g in candidates:
-        defect = map_dist(g @ phi, f_top, engine=engine)
-        dist = g.distortion(engine=engine) if g.op_norm(engine=engine) <= 1.0 + MORPHISM_TOL else float("inf")
+        defect = map_dist(g @ phi, f_top)
+        dist = g.distortion() if g.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
         scored.append((mode, g, defect, dist))
     best = min(scored, key=lambda s: (s[2] > bound, s[3], s[2]))
 
@@ -647,7 +566,7 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
     # onto a single functional
     lower = []
     taken = set()
-    for x in _extreme_directions(phi.cod, engine=engine):
+    for x in _extreme_directions(phi.cod):
         img = best[1].matrix @ x
         order = np.argsort(-np.abs(img))
         i = next((int(i) for i in order if int(i) not in taken), int(order[0]))
@@ -658,11 +577,10 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
         g_mat2, _ = _best_contraction_lp(
             phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom,
             extra_lower=lower, defect_cap=max(best[2], modulus(delta)) + 0.5 * slack,
-            engine=engine,
         )
         g2 = LinearMap(phi.cod, chain.stages[m], g_mat2)
-        defect2 = map_dist(g2 @ phi, f_top, engine=engine)
-        dist2 = g2.distortion(engine=engine) if g2.op_norm(engine=engine) <= 1.0 + MORPHISM_TOL else float("inf")
+        defect2 = map_dist(g2 @ phi, f_top)
+        dist2 = g2.distortion() if g2.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
         scored.append(("pattern_lp", g2, defect2, dist2))
     except (ValueError, LPInfeasible):
         pass
@@ -706,7 +624,7 @@ def _recheck_baf(inputs):
     return max(map_dist(u @ f, g), map_dist(v @ g, f))
 
 
-def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1, engine=None):
+def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1):
     """Alternating correction scheme between two embeddings of one space.
 
     Produces contractions u, v between the top stage and itself with
@@ -719,7 +637,7 @@ def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1, engine=
     """
     modulus = modulus_from_json(chain.params.get("modulus", {"kind": "banach"}))
     if delta is None:
-        delta = max(f.distortion(engine=engine), g.distortion(engine=engine))
+        delta = max(f.distortion(), g.distortion())
     top = chain.top
     f_top = chain.connecting(kf, chain.depth) @ f
     g_top = chain.connecting(kg, chain.depth) @ g
@@ -738,14 +656,14 @@ def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1, engine=
             wsrc = src_map.dom.norming
             z = np.zeros_like(wsrc)
             source = NormedSpace(np.vstack([np.hstack([wsrc, z]), np.hstack([z, wsrc])]), label="paired")
-        g_mat, _ = _best_contraction_lp(top, top, phi_mat, target, source, engine=engine)
+        g_mat, _ = _best_contraction_lp(top, top, phi_mat, target, source)
         return LinearMap(top, top, g_mat)
 
-    best_u = extend_morphism(f_top, g_top, delta=delta, modulus=modulus, check=False, engine=engine)
-    best_v = extend_morphism(g_top, f_top, delta=delta, modulus=modulus, check=False, engine=engine)
+    best_u = extend_morphism(f_top, g_top, delta=delta, modulus=modulus, check=False)
+    best_v = extend_morphism(g_top, f_top, delta=delta, modulus=modulus, check=False)
 
     def _defect(u, v):
-        return max(map_dist(u @ f_top, g_top, engine=engine), map_dist(v @ g_top, f_top, engine=engine))
+        return max(map_dist(u @ f_top, g_top), map_dist(v @ g_top, f_top))
 
     best = _defect(best_u, best_v)
     trace = [best]
@@ -802,7 +720,7 @@ def _recheck_factorization(inputs):
     return map_dist(LinearMap(space, space, comp.matrix), ident)
 
 
-def nuclearity_witness(space, engine=None):
+def nuclearity_witness(space):
     """Factor the identity of a presented space through a coordinate stage.
 
     Identity-normed spaces factor exactly through themselves. Otherwise
@@ -820,55 +738,37 @@ def nuclearity_witness(space, engine=None):
     w = space.norming
 
     def _solve(norm_cap):
-        builder = _LPBuilder()
-        rho = [builder.new_vars(big) for _ in range(n)]
-        tvar = builder.new_vars(1)[0]
+        lp = LPBuilder()
+        rho = lp.new_vars(n, big)
+        t = lp.new_vars()
         # operator norm from the coordinate space: for each functional row w_l
         # of the target, the row w_l . rho must have absolute sum <= bound
+        budget = (0.0, (t, -1.0)) if norm_cap is None else (norm_cap,)
         for l in range(w.shape[0]):
-            ap, am = _abs_block(builder, big, {tvar: -1.0} if norm_cap is None else {}, 0.0 if norm_cap is None else norm_cap)
-            for c in range(big):
-                coeffs = {ap[c]: 1.0, am[c]: -1.0}
-                for r in range(n):
-                    coeffs[rho[r][c]] = coeffs.get(rho[r][c], 0.0) - w[l, r]
-                builder.add_eq(coeffs, 0.0)
+            a = lp.new_vars(2 * big)
+            rep = lp.dual_ball_rep(a, np.eye(big), *budget)
+            lp.add_eq(np.zeros(big), (a, rep), (rho.T, -w[l]))
         if norm_cap is None:
             # exact left inverse, minimize the norm bound
             for r in range(n):
-                for rr in range(n):
-                    coeffs = {}
-                    for c in range(big):
-                        if w[c, rr] != 0.0:
-                            coeffs[rho[r][c]] = coeffs.get(rho[r][c], 0.0) + w[c, rr]
-                    builder.add_eq(coeffs, 1.0 if r == rr else 0.0)
-            res = builder.solve({tvar: 1.0}, maximize=False, engine=engine)
+                lp.add_eq(np.eye(n)[r], (rho[r], w.T))
         else:
             # contraction, minimize the identity defect in the target norm
             for l in range(w.shape[0]):
-                mp, mm = _abs_block(builder, w.shape[0], {tvar: -1.0}, 0.0)
-                for rr in range(n):
-                    coeffs = {}
-                    for r in range(n):
-                        for c in range(big):
-                            if w[c, rr] != 0.0 and w[l, r] != 0.0:
-                                key = rho[r][c]
-                                coeffs[key] = coeffs.get(key, 0.0) + w[l, r] * w[c, rr]
-                    for q in range(w.shape[0]):
-                        coeffs[mp[q]] = coeffs.get(mp[q], 0.0) - w[q, rr]
-                        coeffs[mm[q]] = coeffs.get(mm[q], 0.0) + w[q, rr]
-                    builder.add_eq(coeffs, w[l, rr])
-            res = builder.solve({tvar: 1.0}, maximize=False, engine=engine)
-        mat = np.array([[res.x[rho[r][c]] for c in range(big)] for r in range(n)])
-        return mat, res.value
+                mu = lp.new_vars(2 * w.shape[0])
+                rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
+                lp.add_eq(w[l], (rho.ravel(), np.kron(w[l], w.T)), (mu, -rep))
+        res = lp.solve(t)
+        return res.x[rho], res.value
 
     mat, norm_val = _solve(None)
     if norm_val <= 1.0 + 1e-9:
         rho = LinearMap(gamma.cod, space, mat)
         comp = rho @ gamma
-        defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space), engine=engine)
+        defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space))
         return FactorizationWitness(gamma, rho, big, norm_val, defect)
     mat, defect_val = _solve(1.0)
     rho = LinearMap(gamma.cod, space, mat)
     comp = rho @ gamma
-    defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space), engine=engine)
-    return FactorizationWitness(gamma, rho, big, rho.op_norm(engine=engine), defect)
+    defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space))
+    return FactorizationWitness(gamma, rho, big, rho.op_norm(), defect)

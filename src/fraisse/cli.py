@@ -5,8 +5,9 @@ passed, 1 when at least one check produced a negative certificate, and 2
 on configuration or resource errors (argparse uses 2 natively). Builds
 require an explicit seed and write their artifact as JSON named by a
 prefix of the content hash, so reruns with the same inputs land on the
-same file. The LP engine can be forced with --engine or the
-FRAISSE_LP_ENGINE environment variable.
+same file. --engine selects the LP engine for every LP the command
+solves, `verify` included; without it the FRAISSE_LP_ENGINE environment
+variable decides, and "float" is the default.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import numpy as np
 from . import chains, spaces, unital, universal
 from .certify import Certificate, canonical_dumps, verify_certificate
 from .chains import ResourceLimitError
-from .lp import LPError
+from .lp import LPError, use_engine
 
 
 def _write_artifact(out_dir, kind, data):
@@ -45,7 +46,6 @@ def _cmd_build_gurarij(args):
         dim_cap=args.dim_cap,
         net_resolution=args.resolution,
         seed=args.seed,
-        engine=args.engine,
     )
     ok = True
     for rec in chain.records:
@@ -65,7 +65,7 @@ def _cmd_build_gurarij(args):
 
 def _cmd_build_poulsen(args):
     chain = unital.build_poulsen_chain(
-        depth=args.depth, targets_per_step=args.targets_per_step, seed=args.seed, engine=args.engine
+        depth=args.depth, targets_per_step=args.targets_per_step, seed=args.seed
     )
     ok = True
     for rec in chain.records:
@@ -83,7 +83,7 @@ def _cmd_build_poulsen(args):
 
 
 def _cmd_certify_extension(args):
-    chain = chains.build_gurarij_chain(depth=args.depth, seed=args.seed, engine=args.engine)
+    chain = chains.build_gurarij_chain(depth=args.depth, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     src = spaces.LinfSpace(1)
     k = chain.depth - 1
@@ -92,7 +92,7 @@ def _cmd_certify_extension(args):
     col = col / stage.norm(col)
     f = spaces.LinearMap(src, stage, col.reshape(-1, 1))
     phi = spaces.LinearMap(src, spaces.LinfSpace(2), np.array([[1.0], [0.0]]))
-    res = chains.certify_extension(chain, phi, f, k, delta=args.delta, engine=args.engine)
+    res = chains.certify_extension(chain, phi, f, k, delta=args.delta)
     f_top = chain.connecting(k, res.stage) @ f
     cert = res.certificate(phi, f_top)
     ok = _report(cert)
@@ -104,7 +104,7 @@ def _cmd_certify_extension(args):
 
 
 def _cmd_homogeneity(args):
-    chain = chains.build_gurarij_chain(depth=args.depth, seed=args.seed, engine=args.engine)
+    chain = chains.build_gurarij_chain(depth=args.depth, seed=args.seed)
     rng = np.random.default_rng(args.seed + 7)
     src = spaces.LinfSpace(2)
     k = chain.depth
@@ -122,14 +122,14 @@ def _cmd_homogeneity(args):
         while True:
             m = base + scale * noise
             f = spaces.LinearMap(src, stage, m)
-            nrm = max(f.op_norm(engine=args.engine), 1.0)
+            nrm = max(f.op_norm(), 1.0)
             f = spaces.LinearMap(src, stage, m / nrm)
-            if scale == 0.0 or f.distortion(engine=args.engine) <= 0.9 * args.delta:
+            if scale == 0.0 or f.distortion() <= 0.9 * args.delta:
                 break
             scale /= 2.0
         mats.append(f)
     res = chains.back_and_forth(
-        chain, mats[0], k, mats[1], k, delta=args.delta, rounds=args.rounds, engine=args.engine
+        chain, mats[0], k, mats[1], k, delta=args.delta, rounds=args.rounds
     )
     cert = res.certificate(mats[0], mats[1], spaces.BANACH, args.delta)
     ok = _report(cert)
@@ -142,7 +142,7 @@ def _cmd_homogeneity(args):
 
 def _cmd_universal_op(args):
     chain = universal.build_universal_operator_chain(
-        depth=args.depth, seed=args.seed, engine=args.engine
+        depth=args.depth, seed=args.seed
     )
     ok = True
     for rec in chain.records:
@@ -153,14 +153,14 @@ def _cmd_universal_op(args):
             f"[{'pass' if line_ok else 'FAIL'}] stage {rec['stage']} {rec['mode']}: "
             f"square defect {sq:.3e}, template defect {float(rec['defect']):.3e}"
         )
-    sd = universal.surjectivity_defect(chain, probes=20, base_stage=1, seed=args.seed, engine=args.engine)
+    sd = universal.surjectivity_defect(chain, probes=20, base_stage=1, seed=args.seed)
     mono = all(sd[i + 1] <= sd[i] + 1e-9 for i in range(len(sd) - 1))
     ok = ok and mono
     print(f"[{'pass' if mono else 'FAIL'}] image distances {' '.join(f'{v:.4f}' for v in sd)}")
-    items = universal.generate_operator_battery(chain, count=args.battery, eps=args.eps, engine=args.engine)
+    items = universal.generate_operator_battery(chain, count=args.battery, eps=args.eps)
     for it in items:
         res = universal.check_universal_operator_property(
-            chain, it["l"], args.eps, hints=[it["hint"]], engine=args.engine
+            chain, it["l"], args.eps, hints=[it["hint"]]
         )
         ok = ok and res.passed
         print(
@@ -173,10 +173,10 @@ def _cmd_universal_op(args):
 
 
 def _cmd_universal_state(args):
-    sc = universal.build_universal_state_chain(depth=args.depth, seed=args.seed, engine=args.engine)
+    sc = universal.build_universal_state_chain(depth=args.depth, seed=args.seed)
     ok = True
     for k in range(sc.depth):
-        defect = sc.compatibility_defect(k, engine=args.engine)
+        defect = sc.compatibility_defect(k)
         line_ok = defect <= 1e-9
         ok = ok and line_ok
         print(f"[{'pass' if line_ok else 'FAIL'}] step {k}: state compatibility {defect:.3e}")
@@ -184,7 +184,7 @@ def _cmd_universal_state(args):
     for n in (2, 3):
         sigma = rng.dirichlet(np.ones(n))
         res = universal.check_universal_state_property(
-            sc, unital.simplex_system(n), sigma, eps=args.eps, engine=args.engine
+            sc, unital.simplex_system(n), sigma, eps=args.eps
         )
         ok = ok and res.passed
         print(
@@ -205,7 +205,7 @@ def _cmd_minimality(args):
     for _ in range(args.trials):
         s = rng.dirichlet(np.ones(args.d))
         t = rng.dirichlet(np.ones(m))
-        res = unital.minimality_map(s, t, eps=args.eps, engine=args.engine)
+        res = unital.minimality_map(s, t, eps=args.eps)
         worst = max(worst, res.defect)
         ok = ok and res.certificate.passed
     print(
@@ -248,7 +248,7 @@ def _cmd_check_face(args):
         system = unital.simplex_system(3)
         p = np.array([[1.0, 0.0, 0.0]])
         y = np.array([0.0, 1.0, 0.0])
-    res = unital.facial_quotient_check(system, p, y, eps=args.eps, engine=args.engine)
+    res = unital.facial_quotient_check(system, p, y, eps=args.eps)
     ok = _report(res.certificate())
     return 0 if ok else 1
 
@@ -266,7 +266,7 @@ def _cmd_check_biface(args):
         p = np.hstack([np.eye(2), np.zeros((2, 2))])
         x = np.array([0.0, 0.0, 1.0, 0.0])
         y = np.array([0.0, 0.0, 0.0, 1.0])
-    res = unital.biface_check(space, p, x, y, eps=args.eps, engine=args.engine)
+    res = unital.biface_check(space, p, x, y, eps=args.eps)
     ok = _report(res.certificate())
     return 0 if ok else 1
 
@@ -369,7 +369,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with use_engine(args.engine):
+            return args.func(args)
     except (ResourceLimitError, LPError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,21 @@ Two interchangeable engines behind one call: a floating-point engine
 the dual gap, and an exact rational simplex over Fractions for small
 instances where the certificate must be arithmetic-exact.
 
-Engine selection: the `engine` argument wins, then the FRAISSE_LP_ENGINE
-environment variable ("float" or "exact"), then "float".
+Engine selection, first match wins: the `engine` argument of `solve_lp`,
+the innermost `use_engine` scope, the FRAISSE_LP_ENGINE environment
+variable, then "float". Library code never passes an engine; a caller
+that wants exact arithmetic opens a scope around the whole computation,
+so every LP solved inside it, however deep, runs on the chosen engine.
+
+`LPBuilder` assembles the block LPs of the library from blocks of
+variables and rows; its `dual_ball_rep` is the motif behind most of
+them: a functional lam^T W with sum |lam| bounded, which ranges over a
+dual ball because that ball is the absolutely convex hull of the norming
+rows W.
 """
 
+import contextlib
+import contextvars
 import os
 from fractions import Fraction
 
@@ -50,12 +61,32 @@ class LPResult:
         return f"LPResult(value={self.value!r}, engine={self.engine!r})"
 
 
+_SCOPE = contextvars.ContextVar("fraisse_lp_engine", default=None)
+
+
 def current_engine(engine=None):
+    """The engine a solve would use now, `engine` overriding the scope."""
+    if engine is None:
+        engine = _SCOPE.get()
     if engine is None:
         engine = os.environ.get(ENGINE_ENV_VAR, "float")
     if engine not in ("float", "exact"):
         raise LPError(f"unknown LP engine {engine!r} (expected 'float' or 'exact')")
     return engine
+
+
+@contextlib.contextmanager
+def use_engine(name):
+    """Solve every LP in the block on engine `name`; None keeps the current choice.
+
+    The previous selection is restored on exit; an unknown name raises
+    LPError on entry.
+    """
+    token = _SCOPE.set(_SCOPE.get() if name is None else current_engine(name))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True, engine=None):
@@ -82,6 +113,76 @@ def _normalize_block(a, b, n):
     if a.shape != (b.shape[0], n):
         raise LPError(f"constraint block shape mismatch: {a.shape} vs ({b.shape[0]}, {n})")
     return a, b
+
+
+class LPBuilder:
+    """Dense assembler for block LPs over free variables.
+
+    `new_vars` hands out variable indices in row-major blocks. A row block
+    is its right-hand side plus terms (idx, coef): idx is one variable or a
+    vector of them shared by every row of the block, or a (rows, k) array
+    giving each row its own k variables; coef broadcasts against the
+    (rows, k) shape, and no variable may appear twice in one term.
+    Variables and rows keep the order they were added in.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self._ub = []
+        self._eq = []
+
+    def new_vars(self, *shape):
+        """A block of fresh variables; no shape gives a single index."""
+        size = int(np.prod(shape))
+        idx = np.arange(self.n, self.n + size).reshape(shape)
+        self.n += size
+        return idx
+
+    def add_ub(self, rhs, *terms):
+        self._ub.append((np.atleast_1d(np.asarray(rhs, dtype=float)), terms))
+
+    def add_eq(self, rhs, *terms):
+        self._eq.append((np.atleast_1d(np.asarray(rhs, dtype=float)), terms))
+
+    def nonneg(self, idx):
+        """One row -v <= 0 per variable v, in index order."""
+        idx = np.ravel(idx)
+        self.add_ub(np.zeros(idx.shape[0]), (idx[:, None], -1.0))
+
+    def dual_ball_rep(self, lam, w, budget, *budget_terms):
+        """Make lam = (plus, minus) represent lam^T w = (plus - minus)^T w
+        with sum |lam| <= budget.
+
+        Adds the sign rows of lam and the budget row, where budget_terms
+        join the left side (pass (t, -1.0) and budget 0 for a variable
+        budget t). Returns the coefficients of lam^T w over lam: one row
+        per coordinate of the functional, ready for an equality block.
+        """
+        self.nonneg(lam)
+        self.add_ub(budget, (lam, 1.0), *budget_terms)
+        return np.hstack([w.T, -w.T])
+
+    def _dense(self, blocks):
+        if not blocks:
+            return None, None
+        b = np.concatenate([rhs for rhs, _ in blocks])
+        a = np.zeros((b.shape[0], self.n))
+        start = 0
+        for rhs, terms in blocks:
+            rows = np.arange(start, start + rhs.shape[0])[:, None]
+            for idx, coef in terms:
+                idx = np.asarray(idx)
+                a[rows, idx.ravel() if idx.ndim < 2 else idx] += coef
+            start += rhs.shape[0]
+        return a, b
+
+    def solve(self, objective, maximize=False):
+        """Optimize the sum of the `objective` variables."""
+        c = np.zeros(self.n)
+        c[np.ravel(objective)] = 1.0
+        a_ub, b_ub = self._dense(self._ub)
+        a_eq, b_eq = self._dense(self._eq)
+        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
 
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
@@ -155,8 +256,7 @@ def _solve_exact(c, a_ub, b_ub, a_eq, b_eq, maximize):
     value, xs = _exact_simplex(cf, rows, rels)
     x = np.array([float(v) for v in xs], dtype=float)
     val = value if maximize else -value
-    exact_x = xs if maximize else xs
-    return LPResult(float(val), x, "exact", exact_value=val, exact_x=exact_x)
+    return LPResult(float(val), x, "exact", exact_value=val, exact_x=xs)
 
 
 def _exact_simplex(c, rows, rels):
@@ -221,7 +321,7 @@ def _exact_simplex(c, rows, rels):
         obj = [ZERO] * total
         for col in art_cols:
             obj[col] = -ONE
-        red, val = _reduced_row(obj, matrix, rhs_col, basis)
+        red, _ = _reduced_row(obj, matrix, rhs_col, basis)
         val = _pivot_until_opt(matrix, rhs_col, basis, red)
         if val < 0:
             raise LPInfeasible("exact LP infeasible")
@@ -240,11 +340,8 @@ def _exact_simplex(c, rows, rels):
     for j in range(n):
         obj[j] = c[j]
         obj[n + j] = -c[j]
-    red, val0 = _reduced_row(obj, matrix, rhs_col, basis)
-    try:
-        val = _pivot_until_opt(matrix, rhs_col, basis, red)
-    except LPUnbounded:
-        raise
+    red, _ = _reduced_row(obj, matrix, rhs_col, basis)
+    _pivot_until_opt(matrix, rhs_col, basis, red)
     x = [ZERO] * n
     for r, col in enumerate(basis):
         if col < n:

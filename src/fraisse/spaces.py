@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .lp import LPInfeasible, solve_lp
+from .lp import LPInfeasible, current_engine, solve_lp
 
 ISO_TOL = 1e-9
 MORPHISM_TOL = 1e-7
@@ -91,39 +91,45 @@ class NormedSpace:
         b = np.full(2 * self.rows, float(radius))
         return a, b
 
-    def support_value(self, g, radius=1.0, engine=None):
+    def support_value(self, g, radius=1.0):
         """max g.x over the ball, as an LP over the polytope."""
         a, b = self.ball_constraints(radius)
-        return solve_lp(np.asarray(g, dtype=float), a_ub=a, b_ub=b, engine=engine).value
+        return solve_lp(np.asarray(g, dtype=float), a_ub=a, b_ub=b).value
 
-    def dual_norm(self, g, engine=None):
+    def dual_norm(self, g):
         """Least coefficient sum representing g over the rows.
 
         Exact because the dual ball is the absolutely convex hull of the
         rows: g = lambda^T W with minimal sum |lambda|. Returns the value;
         `dual_representation` also returns the coefficients.
         """
-        value, _ = self.dual_representation(g, engine=engine)
+        value, _ = self.dual_representation(g)
         return value
 
-    def dual_representation(self, g, engine=None):
-        g = np.asarray(g, dtype=float)
-        n, nr = self.dim, self.rows
-        # Variables (lambda, u); minimize sum u with  -u <= lambda <= u.
-        c = np.concatenate([np.zeros(nr), np.ones(nr)])
-        eye = np.eye(nr)
-        a_ub = np.block([[eye, -eye], [-eye, -eye]])
-        b_ub = np.zeros(2 * nr)
-        a_eq = np.hstack([self.norming.T, np.zeros((n, nr))])
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=g, maximize=False, engine=engine)
-        return res.value, res.x[:nr]
+    def dual_representation(self, g):
+        res = _least_coefficient_sum(self.norming.T, np.asarray(g, dtype=float))
+        return res.value, res.x[: self.rows]
 
-    def coordinate_bound(self, engine=None):
+    def coordinate_bound(self):
         """max_i of the dual norms of the coordinate functionals."""
-        return max(self.dual_norm(np.eye(self.dim)[i], engine=engine) for i in range(self.dim))
+        return max(self.dual_norm(np.eye(self.dim)[i]) for i in range(self.dim))
 
     def __repr__(self):
         return f"NormedSpace(dim={self.dim}, rows={self.rows}, label={self.label!r})"
+
+
+def _least_coefficient_sum(a, g):
+    """min sum |lambda| subject to a @ lambda = g.
+
+    Variables (lambda, u), minimizing sum u with -u <= lambda <= u; the
+    columns of a are the functionals lambda combines.
+    """
+    k, nr = a.shape
+    c = np.concatenate([np.zeros(nr), np.ones(nr)])
+    eye = np.eye(nr)
+    a_ub = np.block([[eye, -eye], [-eye, -eye]])
+    a_eq = np.hstack([a, np.zeros((k, nr))])
+    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(2 * nr), a_eq=a_eq, b_eq=g, maximize=False)
 
 
 class LinfSpace(NormedSpace):
@@ -175,25 +181,25 @@ class LinearMap:
     def scale(self, t):
         return LinearMap(self.dom, self.cod, float(t) * self.matrix)
 
-    def op_norm(self, engine=None):
+    def op_norm(self):
         """max over the domain ball of the codomain norm of the image.
 
         One LP per codomain norming row: max g_j(Tx) over |f_i(x)| <= 1.
         The ball is symmetric, so the negative sign of each row attains the
         same value and a single sign per row suffices.
         """
-        key = ("op_norm", engine)
+        key = ("op_norm", current_engine())
         if key not in self._cache:
             a, b = self.dom.ball_constraints(1.0)
             best = 0.0
             for row in self.cod.norming:
                 c = row @ self.matrix
-                val = solve_lp(c, a_ub=a, b_ub=b, engine=engine).value
+                val = solve_lp(c, a_ub=a, b_ub=b).value
                 best = max(best, val)
             self._cache[key] = best
         return self._cache[key]
 
-    def distortion(self, engine=None):
+    def distortion(self):
         """Worst norm loss over the ball of radius 2.
 
         For each domain norming row (one sign suffices, same symmetry as
@@ -202,11 +208,11 @@ class LinearMap:
         every LP value is dominated by the true maximum, so the max over
         rows is exact.
         """
-        key = ("distortion", engine)
+        key = ("distortion", current_engine())
         if key not in self._cache:
-            if self.op_norm(engine=engine) > 1.0 + MORPHISM_TOL:
+            if self.op_norm() > 1.0 + MORPHISM_TOL:
                 raise ValueError(
-                    f"distortion is defined for morphisms; op_norm = {self.op_norm(engine=engine):.6f} > 1"
+                    f"distortion is defined for morphisms; op_norm = {self.op_norm():.6f} > 1"
                 )
             n = self.dom.dim
             wt = self.cod.norming @ self.matrix
@@ -223,29 +229,29 @@ class LinearMap:
             best = 0.0
             for row in self.dom.norming:
                 c = np.concatenate([row, [-1.0]])
-                val = solve_lp(c, a_ub=a_ub, b_ub=b_ub, engine=engine).value
+                val = solve_lp(c, a_ub=a_ub, b_ub=b_ub).value
                 best = max(best, val)
             self._cache[key] = max(best, 0.0)
         return self._cache[key]
 
-    def is_isometry(self, tol=ISO_TOL, engine=None):
-        return self.op_norm(engine=engine) <= 1.0 + tol and self.distortion(engine=engine) <= tol
+    def is_isometry(self, tol=ISO_TOL):
+        return self.op_norm() <= 1.0 + tol and self.distortion() <= tol
 
     def __repr__(self):
         return f"LinearMap({self.dom.label} -> {self.cod.label}, {self.cod.dim}x{self.dom.dim})"
 
 
-def op_norm(t, engine=None):
-    return t.op_norm(engine=engine)
+def op_norm(t):
+    return t.op_norm()
 
 
-def distortion(t, engine=None):
-    return t.distortion(engine=engine)
+def distortion(t):
+    return t.distortion()
 
 
-def map_dist(f, g, engine=None):
+def map_dist(f, g):
     """Sup distance of two maps with the same endpoints, as an operator norm."""
-    return (f - g).op_norm(engine=engine)
+    return (f - g).op_norm()
 
 
 def embed_linf(space):
@@ -253,7 +259,7 @@ def embed_linf(space):
     return LinearMap(space, LinfSpace(space.rows), np.array(space.norming))
 
 
-def hahn_banach_extend(j, g, c, check=True, engine=None):
+def hahn_banach_extend(j, g, c, check=True):
     """Extend the functional g on dom(j) through the isometry j at bound c.
 
     Returns (h, lam): h is a functional on cod(j) with h(j(x)) = g(x)
@@ -266,24 +272,17 @@ def hahn_banach_extend(j, g, c, check=True, engine=None):
     g = np.asarray(g, dtype=float)
     x_space = j.cod
     if check:
-        if j.distortion(engine=engine) > 1e-6:
+        if j.distortion() > 1e-6:
             raise ValueError("hahn_banach_extend needs an isometric j")
-        gnorm = j.dom.dual_norm(g, engine=engine)
+        gnorm = j.dom.dual_norm(g)
         if gnorm > c * (1.0 + 1e-9) + 1e-9:
             raise ValueError(f"functional norm {gnorm:.6e} exceeds the requested bound {c:.6e}")
-    n, nr = x_space.dim, x_space.rows
-    cvec = np.concatenate([np.zeros(nr), np.ones(nr)])
-    eye = np.eye(nr)
-    a_ub = np.block([[eye, -eye], [-eye, -eye]])
-    b_ub = np.zeros(2 * nr)
     # Agreement on the subspace: lambda^T W J = g, an equality per domain coord.
-    wj = (x_space.norming @ j.matrix).T
-    a_eq = np.hstack([wj, np.zeros((j.dom.dim, nr))])
     try:
-        res = solve_lp(cvec, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=g, maximize=False, engine=engine)
+        res = _least_coefficient_sum((x_space.norming @ j.matrix).T, g)
     except LPInfeasible:
         raise ValueError("extension system infeasible: j does not reach the functional's domain")
-    lam = res.x[:nr]
+    lam = res.x[: x_space.rows]
     total = res.value
     if total > c * (1.0 + 1e-9) + 1e-9:
         raise ValueError(
@@ -294,7 +293,7 @@ def hahn_banach_extend(j, g, c, check=True, engine=None):
     return h, lam
 
 
-def extend_morphism(phi, f, delta=None, modulus=BANACH, check=True, engine=None):
+def extend_morphism(phi, f, delta=None, modulus=BANACH, check=True):
     """Extend f through the near-isometry phi into an injective target.
 
     phi: X -> Xhat with distortion <= delta < 1, f: X -> A a contraction
@@ -309,26 +308,26 @@ def extend_morphism(phi, f, delta=None, modulus=BANACH, check=True, engine=None)
     if not target.is_linf:
         raise ValueError("extend_morphism needs an injective (identity-normed) target")
     if delta is None:
-        delta = phi.distortion(engine=engine)
+        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1: phi is not invertible enough to extend along")
     if check:
-        d_meas = phi.distortion(engine=engine)
+        d_meas = phi.distortion()
         if d_meas > delta + MORPHISM_TOL:
             raise ValueError(f"phi has distortion {d_meas:.6e} > promised {delta:.6e}")
-        if f.op_norm(engine=engine) > 1.0 + MORPHISM_TOL:
+        if f.op_norm() > 1.0 + MORPHISM_TOL:
             raise ValueError("f must be a contraction")
     rows = []
     bound = 1.0 + delta
     for r in f.matrix:
-        h, _ = hahn_banach_extend(phi, r, bound, check=False, engine=engine)
+        h, _ = hahn_banach_extend(phi, r, bound, check=False)
         rows.append(h)
     h0 = np.array(rows)
     if modulus.kind == "banach":
         return LinearMap(phi.cod, target, h0 / bound)
     from .unital import project_rows_to_states  # unital route, local to avoid a cycle
 
-    return LinearMap(phi.cod, target, project_rows_to_states(phi.cod, h0, engine=engine))
+    return LinearMap(phi.cod, target, project_rows_to_states(phi.cod, h0))
 
 
 class MarkedSpace:
@@ -357,7 +356,7 @@ def tuple_image_dist(f, marked, targets):
     )
 
 
-def tuple_dist_upper(a, b, modulus=BANACH, engine=None):
+def tuple_dist_upper(a, b, modulus=BANACH):
     """Certified upper bound on the marked-tuple distance.
 
     Searches a candidate family of morphisms f: the exact tuple matcher
@@ -370,16 +369,16 @@ def tuple_dist_upper(a, b, modulus=BANACH, engine=None):
         return math.inf
     t0 = b.matrix @ np.linalg.inv(a.matrix)
     base = LinearMap(a.space, b.space, t0)
-    nrm = base.op_norm(engine=engine)
+    nrm = base.op_norm()
     cands = []
     for s in (1.0, 0.999, 0.99, 0.95, 0.9):
         t = s / max(1.0, nrm)
         cands.append(base.scale(t))
     best = math.inf
     for f in cands:
-        if f.op_norm(engine=engine) > 1.0 + MORPHISM_TOL:
+        if f.op_norm() > 1.0 + MORPHISM_TOL:
             continue
-        score = max(f.distortion(engine=engine), tuple_image_dist(f, a, b.vectors))
+        score = max(f.distortion(), tuple_image_dist(f, a, b.vectors))
         best = min(best, score)
     if not math.isfinite(best):
         return math.inf
@@ -393,7 +392,7 @@ def _padded_identity(rows, cols):
     return m
 
 
-def gh_dist_upper(x, y, candidates=None, engine=None):
+def gh_dist_upper(x, y, candidates=None):
     """Upper bound on the two-sided morphism distance of two spaces.
 
     Evaluates candidate pairs (f: X -> Y, g: Y -> X) by
@@ -412,14 +411,14 @@ def gh_dist_upper(x, y, candidates=None, engine=None):
         pairs.append((LinearMap(x, y, m), LinearMap(y, x, minv)))
     best = math.inf
     for f, g in pairs:
-        nf, ng = f.op_norm(engine=engine), g.op_norm(engine=engine)
+        nf, ng = f.op_norm(), g.op_norm()
         f = f.scale(1.0 / max(1.0, nf))
         g = g.scale(1.0 / max(1.0, ng))
         eps = max(
-            f.distortion(engine=engine),
-            g.distortion(engine=engine),
-            map_dist(g @ f, LinearMap.identity(x), engine=engine),
-            map_dist(f @ g, LinearMap.identity(y), engine=engine),
+            f.distortion(),
+            g.distortion(),
+            map_dist(g @ f, LinearMap.identity(x)),
+            map_dist(f @ g, LinearMap.identity(y)),
         )
         best = min(best, eps)
     return best

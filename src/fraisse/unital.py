@@ -27,7 +27,7 @@ from .certify import (
     space_from_json,
     space_to_json,
 )
-from .lp import LPInfeasible, solve_lp
+from .lp import LPBuilder
 from .spaces import LinearMap, LinfSpace, NormedSpace, map_dist
 
 UNIT_TOL = 1e-9
@@ -90,7 +90,7 @@ class StateVector:
         return float(self.functional @ np.asarray(x, dtype=float))
 
 
-def state_distance(space, row, engine=None):
+def state_distance(space, row):
     """Dual-norm distance from a functional to the state set of a space.
 
     min over states lam' W and representations (row - state) = mu' W of
@@ -98,48 +98,25 @@ def state_distance(space, row, engine=None):
     hull of the rows. Returns (distance, weights of the nearest state).
     """
     w = space.norming
-    big_n, n = w.shape
-    # variables: lam (big_n), mu+ (big_n), mu- (big_n), t
-    nv = 3 * big_n + 1
-    tvar = 3 * big_n
-    a_eq = []
-    b_eq = []
-    for c in range(n):
-        rowc = np.zeros(nv)
-        rowc[:big_n] = w[:, c]
-        rowc[big_n : 2 * big_n] = w[:, c]
-        rowc[2 * big_n : 3 * big_n] = -w[:, c]
-        a_eq.append(rowc)
-        b_eq.append(row[c])
-    sum_row = np.zeros(nv)
-    sum_row[:big_n] = 1.0
-    a_eq.append(sum_row)
-    b_eq.append(1.0)
-    a_ub = []
-    b_ub = []
-    for i in range(3 * big_n):
-        r = np.zeros(nv)
-        r[i] = -1.0
-        a_ub.append(r)
-        b_ub.append(0.0)
-    budget = np.zeros(nv)
-    budget[big_n : 3 * big_n] = 1.0
-    budget[tvar] = -1.0
-    a_ub.append(budget)
-    b_ub.append(0.0)
-    c_obj = np.zeros(nv)
-    c_obj[tvar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), np.array(a_eq), np.array(b_eq), maximize=False, engine=engine)
-    lam = np.clip(res.x[:big_n], 0.0, None)
+    lp = LPBuilder()
+    lam = lp.new_vars(w.shape[0])
+    mu = lp.new_vars(2 * w.shape[0])
+    t = lp.new_vars()
+    lp.nonneg(lam)
+    rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
+    lp.add_eq(row, (lam, w.T), (mu, rep))
+    lp.add_eq(1.0, (lam, 1.0))
+    res = lp.solve(t)
+    lam = np.clip(res.x[lam], 0.0, None)
     lam = lam / max(np.sum(lam), 1e-300)
     return max(res.value, 0.0), lam
 
 
-def project_rows_to_states(space, rows, engine=None):
+def project_rows_to_states(space, rows):
     """Replace each functional row by its nearest state of the space."""
     out = []
     for r in np.atleast_2d(rows):
-        _, lam = state_distance(space, r, engine=engine)
+        _, lam = state_distance(space, r)
         out.append(lam @ space.norming)
     return np.array(out)
 
@@ -151,7 +128,7 @@ def _recheck_perturbation(inputs):
     return map_dist(f - g, LinearMap(f.dom, f.cod, np.zeros_like(f.matrix)))
 
 
-def perturb_to_unital_positive(f, delta, engine=None):
+def perturb_to_unital_positive(f, delta):
     """Nearest unital positive map to f between function systems.
 
     One joint LP: the rows of the candidate g, read through the codomain
@@ -164,63 +141,25 @@ def perturb_to_unital_positive(f, delta, engine=None):
         raise ValueError("perturb_to_unital_positive needs function systems on both sides")
     w_d = dom.norming
     w_c = cod.norming
-    n_rows_c, n_c = w_c.shape
-    n_rows_d, n_d = w_d.shape
-    # variables: G (n_c x n_d), per codomain row: lam (n_rows_d), mu+/- (n_rows_d); then t
-    gvars = n_c * n_d
-    per = 3 * n_rows_d
-    nv = gvars + n_rows_c * per + 1
-    tvar = nv - 1
-
-    def gv(i, c):
-        return i * n_d + c
-
-    def lamv(l, k):
-        return gvars + l * per + k
-
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for l in range(n_rows_c):
+    lp = LPBuilder()
+    g_vars = lp.new_vars(cod.dim, dom.dim)
+    # per codomain row: state weights lam and representation mu of the gap
+    per_row = lp.new_vars(w_c.shape[0], 3 * w_d.shape[0])
+    lams, mus = per_row[:, : w_d.shape[0]], per_row[:, w_d.shape[0] :]
+    t = lp.new_vars()
+    for l in range(w_c.shape[0]):
         # w_l G = lam_l' W_d  and  w_l f - w_l G = mu_l' W_d
         target = w_c[l] @ f.matrix
-        for c in range(n_d):
-            row = np.zeros(nv)
-            for i in range(n_c):
-                row[gv(i, c)] += w_c[l, i]
-            for k in range(n_rows_d):
-                row[lamv(l, k)] -= w_d[k, c]
-            a_eq.append(row)
-            b_eq.append(0.0)
-            row2 = np.zeros(nv)
-            for i in range(n_c):
-                row2[gv(i, c)] += w_c[l, i]
-            for k in range(n_rows_d):
-                row2[lamv(l, n_rows_d + k)] += w_d[k, c]
-                row2[lamv(l, 2 * n_rows_d + k)] -= w_d[k, c]
-            a_eq.append(row2)
-            b_eq.append(target[c])
-        srow = np.zeros(nv)
-        for k in range(n_rows_d):
-            srow[lamv(l, k)] = 1.0
-        a_eq.append(srow)
-        b_eq.append(1.0)
-        for k in range(per):
-            r = np.zeros(nv)
-            r[lamv(l, k)] = -1.0
-            a_ub.append(r)
-            b_ub.append(0.0)
-        budget = np.zeros(nv)
-        for k in range(n_rows_d):
-            budget[lamv(l, n_rows_d + k)] = 1.0
-            budget[lamv(l, 2 * n_rows_d + k)] = 1.0
-        budget[tvar] = -1.0
-        a_ub.append(budget)
-        b_ub.append(0.0)
-    c_obj = np.zeros(nv)
-    c_obj[tvar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), np.array(a_eq), np.array(b_eq), maximize=False, engine=engine)
-    g_mat = np.array([[res.x[gv(i, c)] for c in range(n_d)] for i in range(n_c)])
+        lp.nonneg(lams[l])
+        rep = lp.dual_ball_rep(mus[l], w_d, 0.0, (t, -1.0))
+        for c in range(dom.dim):
+            lp.add_eq(0.0, (g_vars[:, c], w_c[l]), (lams[l], -w_d[:, c]))
+            lp.add_eq(target[c], (g_vars[:, c], w_c[l]), (mus[l], rep[c]))
+        lp.add_eq(1.0, (lams[l], 1.0))
+    res = lp.solve(t)
+    g_mat = res.x[g_vars]
     g = LinearMap(dom, cod, g_mat)
-    defect = map_dist(f, g, engine=engine)
+    defect = map_dist(f, g)
     inputs = {"f": map_to_json(f), "g": map_to_json(g), "delta": fmt_real(delta)}
     cert = Certificate("unital_perturbation", inputs, 2.0 * delta, defect, tol=1e-7)
     return g, defect, cert
@@ -238,50 +177,22 @@ def _recheck_poulsen(inputs):
     return parse_real(inputs["tau"]) - margin
 
 
-def _ext_margin(system, idx, engine=None):
+def _ext_margin(system, idx):
     """Dual-norm separation of row idx from the hull of the other rows."""
     others = np.delete(system.norming, idx, axis=0)
-    # distance from row idx to conv(others) in the dual norm
+    # distance from row idx to conv(others) in the dual norm: hull weights
+    # nu, representation mu of the gap over all rows
     w = system.norming
-    big_n = others.shape[0]
-    n = system.dim
-    # variables: nu (big_n) hull weights, mu+/- (rows of w) representation, t
-    nv = big_n + 2 * w.shape[0] + 1
-    nu0 = 0
-    mu0 = big_n
-    tvar = nv - 1
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for c in range(n):
-        row = np.zeros(nv)
-        row[nu0 : nu0 + big_n] = others[:, c]
-        for k in range(w.shape[0]):
-            row[mu0 + k] += w[k, c]
-            row[mu0 + w.shape[0] + k] -= w[k, c]
-        a_eq.append(row)
-        b_eq.append(w[idx, c])
-    srow = np.zeros(nv)
-    srow[nu0 : nu0 + big_n] = 1.0
-    a_eq.append(srow)
-    b_eq.append(1.0)
-    for k in range(big_n):
-        r = np.zeros(nv)
-        r[nu0 + k] = -1.0
-        a_ub.append(r)
-        b_ub.append(0.0)
-    for k in range(2 * w.shape[0]):
-        r = np.zeros(nv)
-        r[mu0 + k] = -1.0
-        a_ub.append(r)
-        b_ub.append(0.0)
-    budget = np.zeros(nv)
-    budget[mu0 : mu0 + 2 * w.shape[0]] = 1.0
-    budget[tvar] = -1.0
-    a_ub.append(budget)
-    b_ub.append(0.0)
-    c_obj = np.zeros(nv)
-    c_obj[tvar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), np.array(a_eq), np.array(b_eq), maximize=False, engine=engine)
-    return max(res.value, 0.0), res.x[nu0 : nu0 + big_n]
+    lp = LPBuilder()
+    nu = lp.new_vars(others.shape[0])
+    mu = lp.new_vars(2 * w.shape[0])
+    t = lp.new_vars()
+    lp.nonneg(nu)
+    rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
+    lp.add_eq(w[idx], (nu, others.T), (mu, rep))
+    lp.add_eq(1.0, (nu, 1.0))
+    res = lp.solve(t)
+    return max(res.value, 0.0), res.x[nu]
 
 
 class PoulsenStep:
@@ -293,7 +204,7 @@ class PoulsenStep:
         self.certificate = certificate
 
 
-def poulsen_extension_step(system, target, tau=0.5, engine=None):
+def poulsen_extension_step(system, target, tau=0.5):
     """Extend a function system by one coordinate that evaluates a state.
 
     target is a StateVector (or weight vector) of the current system. The
@@ -322,7 +233,7 @@ def poulsen_extension_step(system, target, tau=0.5, engine=None):
     phi_mat[n, :] = func
     phi = LinearMap(system, grown, phi_mat)
     idx = system.rows
-    margin, _ = _ext_margin(grown, idx, engine=engine)
+    margin, _ = _ext_margin(grown, idx)
     inputs = {
         "system": system_to_json(grown),
         "new_row": str(idx),
@@ -333,7 +244,7 @@ def poulsen_extension_step(system, target, tau=0.5, engine=None):
     return PoulsenStep(grown, phi, idx, margin, cert)
 
 
-def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5, engine=None):
+def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
     """Seeded tower of function systems with progressively denser extreme rows.
 
     Starts from the two point simplex system; each step draws mixture
@@ -366,7 +277,7 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5, engine=None)
                 # family really does get approximated as the tower grows
                 weights = np.zeros(grown.rows)
                 weights[:2] = rng.dirichlet(np.full(2, 0.7))
-            step = poulsen_extension_step(grown, weights, tau=tau, engine=engine)
+            step = poulsen_extension_step(grown, weights, tau=tau)
             lift = step.phi @ lift
             grown = step.system
             margins.append(step.margin)
@@ -381,7 +292,7 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5, engine=None)
             probe_func = base @ grown.norming
             best = np.inf
             for idx in range(grown.rows):
-                m, _ = _ext_margin(grown, idx, engine=engine)
+                m, _ = _ext_margin(grown, idx)
                 if m <= 1e-9:
                     continue
                 d = grown.dual_norm(probe_func - grown.norming[idx])
@@ -428,7 +339,7 @@ def _recheck_minimality(inputs):
     return float(np.sum(np.abs(pulled - s)))
 
 
-def minimality_map(s, t, eps=None, engine=None):
+def minimality_map(s, t, eps=None):
     """Unital isometry of coordinate systems pulling the state t back near s.
 
     s lives on d coordinates, t on m. The map replicates the functional
@@ -477,7 +388,7 @@ def minimality_map(s, t, eps=None, engine=None):
 
     pulled = t @ phi_mat
     closed = float(np.sum(np.abs(pulled - s)))
-    lp_val = dom.dual_norm(pulled - s, engine=engine)
+    lp_val = dom.dual_norm(pulled - s)
     if abs(closed - lp_val) > 1e-7:
         raise RuntimeError(f"dual norm disagreement: closed {closed} vs LP {lp_val}")
     bound = eps if eps is not None else 2.0 * block_mass
@@ -516,30 +427,24 @@ def _recheck_facial(inputs):
     return _facial_violation(space, p, y, eps)
 
 
-def _facial_violation(space, p, y, eps, engine=None):
+def _facial_violation(space, p, y, eps):
     w = space.norming
-    n = space.dim
-    nv = n + 1
-    svar = n
-    a_ub, b_ub = [], []
+    lp = LPBuilder()
+    v = lp.new_vars(space.dim)
+    s = lp.new_vars()
     for l in range(w.shape[0]):
-        r = np.zeros(nv); r[:n] = -w[l]; r[svar] = -1.0
-        a_ub.append(r); b_ub.append(0.0)                     # W v >= -s
-        r = np.zeros(nv); r[:n] = w[l]; r[svar] = -1.0
-        a_ub.append(r); b_ub.append(1.0)                     # W v <= 1 + s
+        lp.add_ub(0.0, (v, -w[l]), (s, -1.0))  # W v >= -s
+        lp.add_ub(1.0, (v, w[l]), (s, -1.0))  # W v <= 1 + s
         for sign in (1.0, -1.0):
-            r = np.zeros(nv); r[:n] = -w[l]; r[svar] = -1.0
-            a_ub.append(r); b_ub.append(-float(w[l] @ (sign * y)) + eps)  # W(v - sign*y) >= -eps - s
+            # W(v - sign*y) >= -eps - s
+            lp.add_ub(-float(w[l] @ (sign * y)) + eps, (v, -w[l]), (s, -1.0))
     for q in range(p.shape[0]):
         for sign in (1.0, -1.0):
-            r = np.zeros(nv); r[:n] = sign * p[q]; r[svar] = -1.0
-            a_ub.append(r); b_ub.append(eps)                 # |P v| <= eps + s
-    c_obj = np.zeros(nv); c_obj[svar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), maximize=False, engine=engine)
-    return max(res.value, 0.0)
+            lp.add_ub(eps, (v, sign * p[q]), (s, -1.0))  # |P v| <= eps + s
+    return max(lp.solve(s).value, 0.0)
 
 
-def facial_quotient_check(system, p, y, eps, engine=None):
+def facial_quotient_check(system, p, y, eps):
     """Order side ideal check at one kernel sample.
 
     Asks for v in the order interval [0, unit] (up to slack), annihilated
@@ -550,7 +455,7 @@ def facial_quotient_check(system, p, y, eps, engine=None):
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     y = np.asarray(y, dtype=float)
-    violation = _facial_violation(system, p, y, eps, engine=engine)
+    violation = _facial_violation(system, p, y, eps)
     inputs = {
         "space": space_to_json(system),
         "p": fmt_matrix(p),
@@ -570,28 +475,24 @@ def _recheck_biface(inputs):
     return _biface_violation(space, p, x, y, eps)
 
 
-def _biface_violation(space, p, x, y, eps, engine=None):
+def _biface_violation(space, p, x, y, eps):
     w = space.norming
-    n = space.dim
-    nv = n + 1
-    svar = n
-    a_ub, b_ub = [], []
+    lp = LPBuilder()
+    v = lp.new_vars(space.dim)
+    s = lp.new_vars()
     for shift in (x + y, x - y):
         base = w @ shift
         for l in range(w.shape[0]):
             for sign in (1.0, -1.0):
-                r = np.zeros(nv); r[:n] = sign * w[l]; r[svar] = -1.0
-                a_ub.append(r); b_ub.append(1.0 + eps + sign * base[l])  # |W(v - shift)| <= 1 + eps + s
+                # |W(v - shift)| <= 1 + eps + s
+                lp.add_ub(1.0 + eps + sign * base[l], (v, sign * w[l]), (s, -1.0))
     for q in range(p.shape[0]):
         for sign in (1.0, -1.0):
-            r = np.zeros(nv); r[:n] = sign * p[q]; r[svar] = -1.0
-            a_ub.append(r); b_ub.append(eps)
-    c_obj = np.zeros(nv); c_obj[svar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), maximize=False, engine=engine)
-    return max(res.value, 0.0)
+            lp.add_ub(eps, (v, sign * p[q]), (s, -1.0))
+    return max(lp.solve(s).value, 0.0)
 
 
-def biface_check(space, p, x, y, eps, engine=None):
+def biface_check(space, p, x, y, eps):
     """Two sided ball intersection check for the kernel of p at (x, y).
 
     x is a unit ball element of the space, y a unit ball element of the
@@ -603,7 +504,7 @@ def biface_check(space, p, x, y, eps, engine=None):
     p = np.atleast_2d(np.asarray(p, dtype=float))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    violation = _biface_violation(space, p, x, y, eps, engine=engine)
+    violation = _biface_violation(space, p, x, y, eps)
     inputs = {
         "space": space_to_json(space),
         "p": fmt_matrix(p),
@@ -629,7 +530,7 @@ def kernel_basis(p, tol=1e-10):
     return np.column_stack(cols) if cols else np.zeros((p.shape[1], 0))
 
 
-def find_biface_counterexample(space, p, eps, threshold=None, engine=None):
+def find_biface_counterexample(space, p, eps, threshold=None):
     """Grid search for a quantified failure of the ball intersection check.
 
     Scans sign-pattern ball elements x and kernel combinations y scaled to
@@ -659,7 +560,7 @@ def find_biface_counterexample(space, p, eps, threshold=None, engine=None):
             ys.append(v / nv)
     for y in ys:
         for x in xs:
-            violation = _biface_violation(space, p, x, y, eps, engine=engine)
+            violation = _biface_violation(space, p, x, y, eps)
             if violation > threshold:
                 return x, y, violation
     return None

@@ -37,7 +37,7 @@ from .certify import (
     parse_vector,
     register_claim,
 )
-from .lp import LPInfeasible, solve_lp
+from .lp import LPBuilder, LPInfeasible
 from .spaces import (
     LinearMap,
     LinfSpace,
@@ -69,14 +69,12 @@ def prune_redundant_rows(space):
                 continue
             mat = w[others]
             # min sum |lam| with lam' mat = w[i]
-            k = mat.shape[0]
-            nv = 2 * k
-            a_eq = np.hstack([mat.T, -mat.T])
-            b_eq = w[i]
-            a_ub = -np.eye(nv)
-            b_ub = np.zeros(nv)
+            lp = LPBuilder()
+            lam = lp.new_vars(2 * len(others))
+            lp.nonneg(lam)
+            lp.add_eq(w[i], (lam, np.hstack([mat.T, -mat.T])))
             try:
-                res = solve_lp(np.ones(nv), a_ub, b_ub, a_eq, b_eq, maximize=False)
+                res = lp.solve(lam)
             except LPInfeasible:
                 continue
             if res.value <= 1.0 + 1e-9:
@@ -152,7 +150,7 @@ class ArrowChain:
         return content_hash(canonical_dumps(self.to_json()))
 
 
-def _direction_scales(t, threshold=0.4, engine=None):
+def _direction_scales(t, threshold=0.4):
     """Coordinate directions of the domain with their image norms under t."""
     out = []
     eye = np.eye(t.dom.dim)
@@ -194,7 +192,7 @@ def _fold_obligation(stage, i, c, beta, gamma, grow_cod):
     return phi, f
 
 
-def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=0.05, engine=None):
+def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=0.05):
     """Grow one contraction that realizes its own recorded extension templates.
 
     Each step folds one template (new domain direction with seeded mixing
@@ -213,7 +211,7 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
     records = []
     for k in range(1, depth + 1):
         stage = stages[-1]
-        dirs = _direction_scales(stage.t, engine=engine)
+        dirs = _direction_scales(stage.t)
         if not dirs:
             raise RuntimeError("no usable anchor direction; the operator degenerated")
         i, c = dirs[int(rng.integers(0, len(dirs)))]
@@ -223,21 +221,21 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
         phi, f = _fold_obligation(stage, i, c, beta, gamma, grow_cod)
         will_grow = stage.dom.dim < dom_cap and stage.cod.dim < cod_cap
         if will_grow:
-            po = arrow_pushout(phi, f, delta=delta, engine=engine)
+            po = arrow_pushout(phi, f, delta=delta)
             y0p, _ = prune_redundant_rows(po.shat.dom)
             y1p, _ = prune_redundant_rows(po.shat.cod)
             emb0 = absorb_presentation(y0p) @ LinearMap(po.shat.dom, y0p, np.eye(po.shat.dom.dim))
             emb1 = absorb_presentation(y1p) @ LinearMap(po.shat.cod, y1p, np.eye(po.shat.cod.dim))
-            shat_new = extend_morphism(emb0, emb1 @ po.shat.t, delta=0.0, check=False, engine=engine)
+            shat_new = extend_morphism(emb0, emb1 @ po.shat.t, delta=0.0, check=False)
             new_stage = ArrowObject(shat_new, f"stage{k}")
             conn = ArrowMorphism(stage, new_stage, emb0 @ po.j.a0, emb1 @ po.j.a1)
-            square = conn.square_defect(engine=engine)
+            square = conn.square_defect()
             if square > SQUARE_TOL:
                 raise RuntimeError(f"connective square defect {square:.3e}")
             g_arrow = ArrowMorphism(phi.dst, new_stage, emb0 @ po.fhat.a0, emb1 @ po.fhat.a1)
             defect = max(
-                map_dist(g_arrow.a0 @ phi.a0, conn.a0 @ f.a0, engine=engine),
-                map_dist(g_arrow.a1 @ phi.a1, conn.a1 @ f.a1, engine=engine),
+                map_dist(g_arrow.a0 @ phi.a0, conn.a0 @ f.a0),
+                map_dist(g_arrow.a1 @ phi.a1, conn.a1 @ f.a1),
             )
             stages.append(new_stage)
             connectives.append(conn)
@@ -246,13 +244,13 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
             self_conn = ArrowMorphism(
                 stage, stage, LinearMap.identity(stage.dom), LinearMap.identity(stage.cod)
             )
-            g0 = extend_morphism(phi.a0, f.a0, delta=delta, check=False, engine=engine)
-            g1 = extend_morphism(phi.a1, f.a1, delta=delta, check=False, engine=engine)
+            g0 = extend_morphism(phi.a0, f.a0, delta=delta, check=False)
+            g1 = extend_morphism(phi.a1, f.a1, delta=delta, check=False)
             g_arrow = ArrowMorphism(phi.dst, stage, g0, g1)
             defect = max(
-                map_dist(g0 @ phi.a0, f.a0, engine=engine),
-                map_dist(g1 @ phi.a1, f.a1, engine=engine),
-                g_arrow.square_defect(engine=engine),
+                map_dist(g0 @ phi.a0, f.a0),
+                map_dist(g1 @ phi.a1, f.a1),
+                g_arrow.square_defect(),
             )
             square = 0.0
             stages.append(stage)
@@ -285,34 +283,22 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
     return ArrowChain(stages, connectives, records, params)
 
 
-def image_distance(t, y, engine=None):
+def image_distance(t, y):
     """Distance from y to the image of the unit ball under the contraction t."""
-    n = t.dom.dim
-    nv = n + 1
-    tvar = n
-    a_ub, b_ub = [], []
+    lp = LPBuilder()
+    x = lp.new_vars(t.dom.dim)
+    dist = lp.new_vars()
     ball_a, ball_b = t.dom.ball_constraints(1.0)
-    for row, b in zip(ball_a, ball_b):
-        r = np.zeros(nv)
-        r[:n] = row
-        a_ub.append(r)
-        b_ub.append(b)
+    lp.add_ub(ball_b, (x, ball_a))
     w = t.cod.norming
     wy = w @ np.asarray(y, dtype=float)
     for l in range(w.shape[0]):
         for sign in (1.0, -1.0):
-            r = np.zeros(nv)
-            r[:n] = sign * (w[l] @ t.matrix)
-            r[tvar] = -1.0
-            a_ub.append(r)
-            b_ub.append(sign * wy[l])
-    c_obj = np.zeros(nv)
-    c_obj[tvar] = 1.0
-    res = solve_lp(c_obj, np.array(a_ub), np.array(b_ub), maximize=False, engine=engine)
-    return max(res.value, 0.0)
+            lp.add_ub(sign * wy[l], (x, sign * (w[l] @ t.matrix)), (dist, -1.0))
+    return max(lp.solve(dist).value, 0.0)
 
 
-def surjectivity_defect(chain, probes=20, base_stage=0, seed=0, engine=None):
+def surjectivity_defect(chain, probes=20, base_stage=0, seed=0):
     """Worst probe distance to the image ball, per stage, for lifted probes.
 
     Probes are seeded unit sphere points of the base stage codomain. Legs
@@ -331,7 +317,7 @@ def surjectivity_defect(chain, probes=20, base_stage=0, seed=0, engine=None):
         lift = chain.connecting(base_stage, m)
         worst = 0.0
         for p in pts:
-            worst = max(worst, image_distance(chain.stages[m].t, lift.a1.apply(p), engine=engine))
+            worst = max(worst, image_distance(chain.stages[m].t, lift.a1.apply(p)))
         out.append(worst)
     return out
 
@@ -395,84 +381,36 @@ def _signed_injections(src_dim, dst_dim, limit):
                 return
 
 
-def _safe_distortion(m, engine=None):
-    if m.op_norm(engine=engine) > 1.0 + MORPHISM_TOL:
+def _safe_distortion(m):
+    if m.op_norm() > 1.0 + MORPHISM_TOL:
         return float("inf")
-    return m.distortion(engine=engine)
+    return m.distortion()
 
 
-def _solve_partner_lp(t_map, l_map, alpha0_mat, engine=None):
+def _solve_partner_lp(t_map, l_map, alpha0_mat):
     """Best contraction alpha1 minimizing sup_ball |T alpha0 x - alpha1 L x|."""
     f0, f1 = l_map.dom, l_map.cod
-    y = t_map.cod
     target = t_map.matrix @ alpha0_mat  # y.dim x f0.dim
-    m = y.dim
-    n = f1.dim
-    nv = m * n + 1
-    tvar = nv - 1
-
-    def av(i, c):
-        return i * n + c
-
-    w1 = f1.norming
-    w0 = f0.norming
-    blocks = []
-    nv_total = nv
-    for _ in range(m):
-        blocks.append(nv_total)
-        nv_total += 2 * w1.shape[0]
-    mu_base = nv_total
-    nv_total += 2 * m * w0.shape[0]
-    rows_ub, rows_eq = [], []
+    m = t_map.cod.dim
+    lp = LPBuilder()
+    alpha1 = lp.new_vars(m, f1.dim)
+    t = lp.new_vars()
+    lams = lp.new_vars(m, 2 * f1.rows)
+    mus = lp.new_vars(m, 2 * f0.rows)
     # rows of alpha1 live in the dual ball of F1: signed row representations
     for i in range(m):
-        b0 = blocks[i]
-        for c in range(n):
-            row = np.zeros(nv_total)
-            row[av(i, c)] = 1.0
-            for l in range(w1.shape[0]):
-                row[b0 + l] -= w1[l, c]
-                row[b0 + w1.shape[0] + l] += w1[l, c]
-            rows_eq.append((row, 0.0))
-        for l in range(2 * w1.shape[0]):
-            row = np.zeros(nv_total)
-            row[b0 + l] = -1.0
-            rows_ub.append((row, 0.0))
-        budget = np.zeros(nv_total)
-        budget[b0 : b0 + 2 * w1.shape[0]] = 1.0
-        rows_ub.append((budget, 1.0))
+        rep = lp.dual_ball_rep(lams[i], f1.norming, 1.0)
+        lp.add_eq(np.zeros(f1.dim), (alpha1[i], np.eye(f1.dim)), (lams[i], -rep))
     # defect rows: each row of (T alpha0 - alpha1 L) has F0 dual norm <= t
     for i in range(m):
-        mb = mu_base + i * 2 * w0.shape[0]
-        for e in range(f0.dim):
-            row = np.zeros(nv_total)
-            for c in range(n):
-                row[av(i, c)] = -l_map.matrix[c, e]
-            for l in range(w0.shape[0]):
-                row[mb + l] -= w0[l, e]
-                row[mb + w0.shape[0] + l] += w0[l, e]
-            rows_eq.append((row, -target[i, e]))
-        for l in range(2 * w0.shape[0]):
-            row = np.zeros(nv_total)
-            row[mb + l] = -1.0
-            rows_ub.append((row, 0.0))
-        budget = np.zeros(nv_total)
-        budget[mb : mb + 2 * w0.shape[0]] = 1.0
-        budget[tvar] = -1.0
-        rows_ub.append((budget, 0.0))
-    a_ub = np.array([r for r, _ in rows_ub])
-    b_ub = np.array([b for _, b in rows_ub])
-    a_eq = np.array([r for r, _ in rows_eq])
-    b_eq = np.array([b for _, b in rows_eq])
-    c_obj = np.zeros(nv_total)
-    c_obj[tvar] = 1.0
-    res = solve_lp(c_obj, a_ub, b_ub, a_eq, b_eq, maximize=False, engine=engine)
-    mat = np.array([[res.x[av(i, c)] for c in range(n)] for i in range(m)])
-    return mat, max(res.value, 0.0)
+        rep = lp.dual_ball_rep(mus[i], f0.norming, 0.0, (t, -1.0))
+        lp.add_eq(-target[i], (alpha1[i], -l_map.matrix.T), (mus[i], -rep))
+    res = lp.solve(t)
+    return res.x[alpha1], max(res.value, 0.0)
 
 
 def check_universal_operator_property(
-    chain, l_map, eps, stage=None, hints=None, candidate_limit=48, engine=None
+    chain, l_map, eps, stage=None, hints=None, candidate_limit=48
 ):
     """Can the tower operator absorb the test operator within eps.
 
@@ -493,13 +431,13 @@ def check_universal_operator_property(
     best = None
     for a0_mat, via in candidates:
         try:
-            a1_mat, defect = _solve_partner_lp(t_map, l_map, a0_mat, engine=engine)
+            a1_mat, defect = _solve_partner_lp(t_map, l_map, a0_mat)
         except LPInfeasible:
             continue
         alpha0 = LinearMap(l_map.dom, t_map.dom, a0_mat)
         alpha1 = LinearMap(l_map.cod, t_map.cod, a1_mat)
-        d0 = _safe_distortion(alpha0, engine=engine)
-        d1 = _safe_distortion(alpha1, engine=engine)
+        d0 = _safe_distortion(alpha0)
+        d1 = _safe_distortion(alpha1)
         score = (max(defect, 0.0), max(d0, d1))
         if best is None or score < best[0]:
             best = (score, alpha0, alpha1, defect, d0, d1, via)
@@ -512,7 +450,7 @@ def check_universal_operator_property(
     return UniversalCheckResult(alpha0, alpha1, defect, d0, d1, eps, passed, via=via)
 
 
-def check_universal_projection_property(chain, p_map, eps, stage=None, hints=None, engine=None):
+def check_universal_projection_property(chain, p_map, eps, stage=None, hints=None):
     """Absorption check for a surjective test contraction (a quotient item).
 
     Same search as the operator check, and additionally requires the test
@@ -524,16 +462,16 @@ def check_universal_projection_property(chain, p_map, eps, stage=None, hints=Non
     for _ in range(8):
         v = rng.normal(size=p_map.cod.dim)
         v = v / max(p_map.cod.norm(v), 1e-12)
-        worst = max(worst, image_distance(p_map, v, engine=engine))
+        worst = max(worst, image_distance(p_map, v))
     result = check_universal_operator_property(
-        chain, p_map, eps, stage=stage, hints=hints, engine=engine
+        chain, p_map, eps, stage=stage, hints=hints
     )
     result.passed = result.passed and worst <= eps + 1e-9
     result.quotient_defect = worst
     return result
 
 
-def generate_operator_battery(chain, count=10, eps=0.2, engine=None):
+def generate_operator_battery(chain, count=10, eps=0.2):
     """Frozen test items replayed from the tower's own fold records.
 
     Each record contributed a template: the anchored scale c with a fresh
@@ -589,7 +527,7 @@ def generate_operator_battery(chain, count=10, eps=0.2, engine=None):
         if len(items) >= count:
             break
         res = check_universal_operator_property(
-            chain, l_map, eps / 2.0, hints=[hint], engine=engine
+            chain, l_map, eps / 2.0, hints=[hint]
         )
         if res.passed:
             items.append({"l": l_map, "hint": hint, "tag": tag})
@@ -632,7 +570,7 @@ def _recheck_kernel(inputs):
     return comp.op_norm()
 
 
-def kernel_stage(t_map, eps=1e-8, engine=None):
+def kernel_stage(t_map, eps=1e-8):
     """Present the kernel of a stage operator with its restricted norm.
 
     Null space by singular value decomposition with deterministic signs;
@@ -658,7 +596,7 @@ def kernel_stage(t_map, eps=1e-8, engine=None):
     space = NormedSpace(norming[keep], label="kernel")
     incl = LinearMap(space, t_map.dom, q)
     comp = LinearMap(space, t_map.cod, t_map.matrix @ q)
-    residual = comp.op_norm(engine=engine)
+    residual = comp.op_norm()
     inputs = {"t": map_to_json(t_map), "incl": map_to_json(incl)}
     cert = Certificate("kernel_residual", inputs, eps, residual, tol=1e-12)
     return KernelStage(space, incl, residual, cert)
@@ -680,12 +618,12 @@ class StateChain:
     def depth(self):
         return self.chain.depth
 
-    def compatibility_defect(self, k, engine=None):
+    def compatibility_defect(self, k):
         """sup |s_{k+1}(J x) - s_k(x)| over the stage ball; zero by algebra."""
         j = self.chain.connectives[k]
         comp = self.states[k + 1] @ j.matrix
         diff = comp - self.states[k]
-        return self.chain.stages[k].dual_norm(diff, engine=engine)
+        return self.chain.stages[k].dual_norm(diff)
 
     def to_json(self):
         data = self.chain.to_json()
@@ -697,7 +635,7 @@ class StateChain:
         return content_hash(canonical_dumps(self.to_json()))
 
 
-def build_universal_state_chain(depth, targets_per_step=2, seed=0, engine=None):
+def build_universal_state_chain(depth, targets_per_step=2, seed=0):
     """The dense-boundary tower with a state pulled back through retractions.
 
     The connective of each growth step appends coordinates, so dropping
@@ -708,7 +646,7 @@ def build_universal_state_chain(depth, targets_per_step=2, seed=0, engine=None):
     of state-free coordinates, and is checked, not assumed, by
     check_universal_state_property.
     """
-    chain = build_poulsen_chain(depth, targets_per_step=targets_per_step, seed=seed, engine=engine)
+    chain = build_poulsen_chain(depth, targets_per_step=targets_per_step, seed=seed)
     states = [np.array([0.5, 0.5])]
     retractions = []
     for k in range(chain.depth):
@@ -730,7 +668,7 @@ def _recheck_state(inputs):
     return alpha.dom.dual_norm(diff)
 
 
-def check_universal_state_property(state_chain, system, sigma, eps, stage=None, engine=None):
+def check_universal_state_property(state_chain, system, sigma, eps, stage=None):
     """Embed a test state pair into the tower state within eps.
 
     One LP finds a unital positive alpha from the test system into a
@@ -751,76 +689,32 @@ def check_universal_state_property(state_chain, system, sigma, eps, stage=None, 
     s_func = state_chain.states[m]
     w_e = system.norming
     w_t = target.norming
-    n_t, n_e = target.dim, system.dim
-    rows_t = w_t.shape[0]
-    rows_e = w_e.shape[0]
-
-    def av(i, c):
-        return i * n_e + c
-
-    lam0 = n_t * n_e
-    nv = lam0 + rows_t * rows_e
-    mu0 = nv
-    nv += 2 * rows_e
-    rows_ub, rows_eq = [], []
+    lp = LPBuilder()
+    alpha = lp.new_vars(target.dim, system.dim)
+    lams = lp.new_vars(w_t.shape[0], w_e.shape[0])
+    mu = lp.new_vars(2 * w_e.shape[0])
     # rows of W_t alpha are states of the test system
-    for l in range(rows_t):
-        lb = lam0 + l * rows_e
-        for c in range(n_e):
-            row = np.zeros(nv)
-            for i in range(n_t):
-                row[av(i, c)] += w_t[l, i]
-            for r_ in range(rows_e):
-                row[lb + r_] -= w_e[r_, c]
-            rows_eq.append((row, 0.0))
-        srow = np.zeros(nv)
-        srow[lb : lb + rows_e] = 1.0
-        rows_eq.append((srow, 1.0))
-        for r_ in range(rows_e):
-            row = np.zeros(nv)
-            row[lb + r_] = -1.0
-            rows_ub.append((row, 0.0))
+    for l in range(w_t.shape[0]):
+        lp.add_eq(np.zeros(system.dim), (alpha.T, w_t[l]), (lams[l], -w_e.T))
+        lp.add_eq(1.0, (lams[l], 1.0))
+        lp.nonneg(lams[l])
     # pullback: s . alpha - sigma represented over W_e with weight <= eps
-    for c in range(n_e):
-        row = np.zeros(nv)
-        for i in range(n_t):
-            row[av(i, c)] += s_func[i]
-        for r_ in range(rows_e):
-            row[mu0 + r_] -= w_e[r_, c]
-            row[mu0 + rows_e + r_] += w_e[r_, c]
-        rows_eq.append((row, sigma[c]))
-    for r_ in range(2 * rows_e):
-        row = np.zeros(nv)
-        row[mu0 + r_] = -1.0
-        rows_ub.append((row, 0.0))
-    budget = np.zeros(nv)
-    budget[mu0 : mu0 + 2 * rows_e] = 1.0
-    rows_ub.append((budget, eps))
+    rep = lp.dual_ball_rep(mu, w_e, eps)
+    lp.add_eq(sigma, (alpha.T, s_func), (mu, -rep))
     # isometry by pinning: presentation row l of the test system goes
     # exactly onto the l-th state-free coordinate (stage rows are
     # coordinates in these towers, so pinning the coordinate pins the
     # functional alpha attains there)
-    free = [i for i in range(n_t) if abs(s_func[i]) < 1e-12]
-    coordinate_stage = np.array_equal(w_t, np.eye(n_t))
-    if coordinate_stage:
-        for l in range(min(rows_e, len(free))):
-            i = free[l]
-            for c in range(n_e):
-                row = np.zeros(nv)
-                row[av(i, c)] = 1.0
-                rows_eq.append((row, w_e[l, c]))
-    c_obj = np.zeros(nv)
-    c_obj[mu0 : mu0 + 2 * rows_e] = 1.0
-    a_ub = np.array([r for r, _ in rows_ub])
-    b_ub = np.array([b for _, b in rows_ub])
-    a_eq = np.array([r for r, _ in rows_eq])
-    b_eq = np.array([b for _, b in rows_eq])
-    res = solve_lp(c_obj, a_ub, b_ub, a_eq, b_eq, maximize=False, engine=engine)
-    alpha_mat = np.array([[res.x[av(i, c)] for c in range(n_e)] for i in range(n_t)])
+    free = [i for i in range(target.dim) if abs(s_func[i]) < 1e-12]
+    if np.array_equal(w_t, np.eye(target.dim)):
+        for l in range(min(w_e.shape[0], len(free))):
+            lp.add_eq(w_e[l], (alpha[free[l]], np.eye(system.dim)))
+    res = lp.solve(mu)
+    alpha_mat = res.x[alpha]
     alpha = LinearMap(system, target, alpha_mat)
     pullback = s_func @ alpha_mat - sigma
-    defect = system.dual_norm(pullback, engine=engine)
-    dist = _safe_distortion(alpha, engine=engine)
+    defect = system.dual_norm(pullback)
+    dist = _safe_distortion(alpha)
     passed = defect <= eps + 1e-9 and dist <= eps + 1e-9
     inputs = {
         "alpha": map_to_json(alpha),

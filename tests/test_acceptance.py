@@ -17,7 +17,7 @@ import oracles
 from fraisse.amalgam import ArrowMorphism, ArrowObject, arrow_pushout, nap_amalgamate
 from fraisse.certify import parse_real, verify_certificate
 from fraisse.chains import back_and_forth, build_gurarij_chain
-from fraisse.lp import solve_lp
+from fraisse.lp import solve_lp, use_engine
 from fraisse.spaces import (
     BANACH,
     LinearMap,
@@ -356,7 +356,8 @@ def test_criterion_10_hahn_banach_routes(criterion_report):
             worst_sum, np.abs(lam1).sum() - c, np.abs(lam2).sum() - c
         )
         if i % 10 == 0:
-            h3, _ = hahn_banach_extend(j, g, c, check=False, engine="exact")
+            with use_engine("exact"):
+                h3, _ = hahn_banach_extend(j, g, c, check=False)
             worst_engine = max(worst_engine, float(np.max(np.abs(h2 - h3))))
     ok = worst_gap <= 1e-9 and worst_sum <= 1e-9 and worst_engine <= 1e-7
     _report(criterion_report, 10, ok, f"functional extension: 200 instances, route gap {worst_gap:.2e}, "

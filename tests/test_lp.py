@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from fraisse import lp
+from fraisse.amalgam import nap_amalgamate
+from fraisse.chains import build_morphism_net
+from fraisse.cli import main
 from fraisse.lp import (
     LPError,
     LPInfeasible,
     LPUnbounded,
     current_engine,
     solve_lp,
+    use_engine,
 )
+from fraisse.spaces import LinearMap, LinfSpace, NormedSpace
+from fraisse.universal import prune_redundant_rows
 
 
 def test_box_maximum_closed_form():
@@ -60,6 +67,69 @@ def test_engine_env_var(monkeypatch):
     monkeypatch.setenv("FRAISSE_LP_ENGINE", "nonsense")
     with pytest.raises(LPError):
         current_engine()
+
+
+def test_use_engine_scope_precedence_and_restore(monkeypatch):
+    monkeypatch.delenv("FRAISSE_LP_ENGINE", raising=False)
+    assert current_engine() == "float"
+    with use_engine("exact"):
+        assert current_engine() == "exact"
+        assert current_engine("float") == "float"
+        with use_engine(None):
+            assert current_engine() == "exact"
+        with pytest.raises(RuntimeError):
+            with use_engine("float"):
+                assert current_engine() == "float"
+                raise RuntimeError
+        assert current_engine() == "exact"
+    assert current_engine() == "float"
+    monkeypatch.setenv("FRAISSE_LP_ENGINE", "exact")
+    with use_engine("float"):
+        assert current_engine() == "float"
+    with pytest.raises(LPError):
+        with use_engine("sympy"):
+            pass
+    assert current_engine() == "exact"
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the LPs each engine solves."""
+    counts = {"float": 0, "exact": 0}
+    for name in counts:
+
+        def spy(*args, _name=name, _orig=getattr(lp, f"_solve_{name}")):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(lp, f"_solve_{name}", spy)
+    return counts
+
+
+def test_engine_scope_reaches_every_solve(solves, tmp_path):
+    space = NormedSpace([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, -1.0]])
+    with use_engine("exact"):
+        net = build_morphism_net(LinfSpace(1), LinfSpace(1), 0.5)
+        _, kept = prune_redundant_rows(space)
+    assert solves["float"] == 0 and solves["exact"] > 0
+    assert net.certified
+    assert kept == prune_redundant_rows(space)[1] == [0, 1, 3]
+
+    f = LinearMap(LinfSpace(1), LinfSpace(1), [[1.0]])
+    path = tmp_path / "nap.json"
+    nap_amalgamate(f, f).certificate(f, f).write(path)
+    solves["float"] = 0
+    assert main(["--engine", "exact", "verify", str(path)]) == 0
+    assert solves["float"] == 0
+
+
+def test_cached_norms_follow_the_engine(solves):
+    t = LinearMap(LinfSpace(1), LinfSpace(1), [[0.5]])
+    assert t.op_norm() == 0.5
+    with use_engine("exact"):
+        assert t.op_norm() == 0.5
+    assert t.op_norm() == 0.5
+    assert solves == {"float": 1, "exact": 1}
 
 
 def test_shape_mismatch_raises():

@@ -18,9 +18,10 @@ from fraisse.certify import (
     space_to_json,
     verify_certificate,
 )
+from fraisse.chains import ExtensionResult
 from fraisse.cli import main
-from fraisse.spaces import LinearMap, LinfSpace, NormedSpace
-from fraisse.unital import simplex_system, system_from_json, system_to_json
+from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace
+from fraisse.unital import minimality_map, simplex_system, system_from_json, system_to_json
 
 
 def test_real_roundtrip_is_exact():
@@ -52,6 +53,24 @@ def test_function_system_roundtrip_keeps_unit():
     back = system_from_json(system_to_json(sys3))
     assert np.array_equal(back.unit, sys3.unit)
     assert np.array_equal(back.norming, sys3.norming)
+
+
+def test_certificate_payload_roundtrip(tmp_path):
+    mini = minimality_map([0.5, 0.5], np.full(10, 0.1), eps=0.5).certificate
+    phi = LinearMap(LinfSpace(1), LinfSpace(2), [[1.0], [0.0]])
+    f = LinearMap(LinfSpace(1), LinfSpace(1), [[1.0]])
+    g = LinearMap(LinfSpace(2), LinfSpace(1), [[1.0, 0.0]])
+    ext = ExtensionResult(g, 3, 0.0, 0.0, "extend", 0.05, BANACH, 0.15).certificate(phi, f)
+    for cert, keys in ((mini, {"block_mass"}), (ext, {"distortion", "stage"})):
+        assert set(cert.payload) == keys
+        path = tmp_path / f"{cert.claim}.json"
+        cert.write(path)
+        back = Certificate.read(path)
+        assert back.payload == cert.payload
+        assert back.inputs_hash == cert.inputs_hash
+    older = mini.to_json()
+    del older["payload"]
+    assert Certificate.from_json(older).payload == {}
 
 
 def test_certificate_roundtrip_and_tamper(tmp_path):

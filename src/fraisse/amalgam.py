@@ -13,11 +13,9 @@ witnesses, which makes its two commutation identities hold exactly.
 
 import numpy as np
 
-from .certify import Certificate, map_to_json, register_claim, map_from_json, fmt_real, parse_real, modulus_to_json, modulus_from_json, fmt_vector, parse_vector
-from .lp import solve_lp
+from .certify import Certificate, map_to_json, register_claim, map_from_json, fmt_real, modulus_to_json, fmt_vector
 from .spaces import (
     BANACH,
-    ISO_TOL,
     MORPHISM_TOL,
     LinearMap,
     LinfSpace,

@@ -26,7 +26,6 @@ from .certify import (
     map_to_json,
     modulus_from_json,
     modulus_to_json,
-    parse_real,
     register_claim,
     space_from_json,
     space_to_json,

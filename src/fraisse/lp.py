@@ -1,9 +1,16 @@
 """Linear-programming backends.
 
 Two interchangeable engines behind one call: a floating-point engine
-(scipy's HiGHS) whose answers are re-checked against primal residuals and
-the dual gap, and an exact rational simplex over Fractions for small
-instances where the certificate must be arithmetic-exact.
+whose answers are re-checked against primal residuals and the dual gap,
+and an exact rational simplex over Fractions for small instances where
+the certificate must be arithmetic-exact.
+
+The float engine calls the dual simplex of the HiGHS build bundled with
+scipy directly through its bindings (`scipy.optimize._highspy._core`),
+with the options, input checks and solution checks of
+`scipy.optimize.linprog(method="highs")` but without its per-call
+overhead, which dominates the tiny LPs of this library. On a scipy
+without those bindings it calls `linprog` itself, with the same answers.
 
 Engine selection, first match wins: the `engine` argument of `solve_lp`,
 the innermost `use_engine` scope, the FRAISSE_LP_ENGINE environment
@@ -25,6 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # older scipy: every float solve goes through linprog
+    _highs = None
 
 ENGINE_ENV_VAR = "FRAISSE_LP_ENGINE"
 RESIDUAL_TOL = 1e-9
@@ -187,8 +199,17 @@ class LPBuilder:
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
     sign = -1.0 if maximize else 1.0
+    run = _run_linprog if _highs is None else _run_highs
+    x, fun, y_ub, y_eq = run(sign * c, a_ub, b_ub, a_eq, b_eq)
+    _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
+    value = float(c @ x)
+    return LPResult(value, x, "float")
+
+
+def _run_linprog(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize c.x over free x with linprog; (x, fun, ub duals, eq duals)."""
     res = linprog(
-        sign * c,
+        c,
         A_ub=a_ub if a_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
         A_eq=a_eq if a_eq.size else None,
@@ -203,12 +224,103 @@ def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
     if res.status != 0:
         raise LPError(f"LP solver failed with status {res.status}: {res.message}")
     x = np.asarray(res.x, dtype=float)
-    _check_float_solution(res, x, c, a_ub, b_ub, a_eq, b_eq, maximize)
-    value = float(c @ x)
-    return LPResult(value, x, "float")
+    return x, res.fun, res.ineqlin.marginals, res.eqlin.marginals
 
 
-def _check_float_solution(res, x, c, a_ub, b_ub, a_eq, b_eq, maximize):
+def _highs_options():
+    # What linprog(method="highs") sets; every other option keeps its default.
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_HIGHS_OPTIONS = None if _highs is None else _highs_options()
+
+
+def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize c.x over free x as linprog(method="highs") would, without it.
+
+    Same checks, same order, same exception types: linprog's input
+    checks (ValueError), its map from HiGHS model status to error, and
+    its _check_result. Each solve gets a fresh HiGHS instance, because a
+    warm start may stop at a different optimal vertex.
+    """
+    if c.size == 0:
+        raise ValueError("LP has no variables")
+    for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"LP input {name} must not contain inf or nan")
+    n, m_ub = c.shape[0], b_ub.shape[0]
+    a = np.vstack([a_ub, a_eq])
+    inf = _highs.kHighsInf
+    model = _highs.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = a.shape[0]
+    model.col_cost_ = c
+    model.col_lower_ = np.full(n, -inf)
+    model.col_upper_ = np.full(n, inf)
+    model.row_lower_ = np.concatenate([np.full(m_ub, -inf), b_eq])
+    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    # The nonzeros column by column, rows ascending: csc_array's layout.
+    cols, rows = np.nonzero(a.T)
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = a.shape[0]
+    matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    matrix.index_ = rows
+    matrix.value_ = a.T[cols, rows]
+
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        # linprog reports a model HiGHS rejects as infeasible (status 2)
+        raise LPInfeasible("LP rejected by HiGHS")
+    ran = highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus()
+    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
+        raise LPInfeasible("LP infeasible")
+    if status == _highs.HighsModelStatus.kUnbounded:
+        raise LPUnbounded("LP unbounded")
+    if status != _highs.HighsModelStatus.kOptimal or not ran:
+        raise LPError(f"LP solver failed: HiGHS model status {highs.modelStatusToString(status)}")
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = highs.getObjectiveValue()
+    row = np.array(solution.row_value)
+    y = np.array(solution.row_dual)
+    # linprog's _check_result: no NaN, and every row within sqrt(1e-9) * 10
+    # of its bound by HiGHS's own row activities.
+    tol = np.sqrt(1e-9) * 10
+    if (
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(row).any()
+        or (b_ub - row[:m_ub] < -tol).any()
+        or (np.abs(b_eq - row[m_ub:]) > tol).any()
+    ):
+        raise LPError("LP solution violates the constraints beyond linprog's tolerance")
+    return x, fun, y[:m_ub], y[m_ub:]
+
+
+def _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq):
+    """Recheck a solve of min c.x: finite, primal feasible, no duality gap.
+
+    `fun` is the solver's optimal value and y_ub, y_eq its row duals for
+    that minimization.
+    """
+    if not (
+        np.isfinite(x).all()
+        and np.isfinite(fun)
+        and np.isfinite(y_ub).all()
+        and np.isfinite(y_eq).all()
+    ):
+        raise LPError("LP solution or duals not finite")
     # Primal residuals, scaled by the data magnitude.
     scale = 1.0 + max(
         (float(np.max(np.abs(b_ub))) if b_ub.size else 0.0),
@@ -223,14 +335,8 @@ def _check_float_solution(res, x, c, a_ub, b_ub, a_eq, b_eq, maximize):
         viol = float(np.max(np.abs(a_eq @ x - b_eq)))
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"equality residual {viol:.3e} exceeds tolerance")
-    # Dual gap: HiGHS reports marginals for the minimization it actually solved.
-    try:
-        y_ub = np.asarray(res.ineqlin.marginals, dtype=float) if b_ub.size else np.zeros(0)
-        y_eq = np.asarray(res.eqlin.marginals, dtype=float) if b_eq.size else np.zeros(0)
-    except AttributeError:
-        return
     dual = float(b_ub @ y_ub) + float(b_eq @ y_eq)
-    primal = float(res.fun)
+    primal = float(fun)
     if abs(primal - dual) > GAP_TOL * (1.0 + abs(primal)):
         raise LPError(f"duality gap {abs(primal - dual):.3e} exceeds tolerance")
 

@@ -28,7 +28,7 @@ from .certify import (
     space_to_json,
 )
 from .lp import LPBuilder
-from .spaces import LinearMap, LinfSpace, NormedSpace, map_dist
+from .spaces import LinearMap, NormedSpace, map_dist
 
 UNIT_TOL = 1e-9
 
@@ -285,16 +285,14 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
         stages.append(grown)
         # probe states lift along the tower: their functionals pull back, and
         # the cover radius is the distance to the nearest currently extreme row
+        extreme = [idx for idx in range(grown.rows) if _ext_margin(grown, idx)[0] > 1e-9]
         cover = 0.0
         for pw in probes:
             base = np.zeros(grown.rows)
             base[:2] = pw
             probe_func = base @ grown.norming
             best = np.inf
-            for idx in range(grown.rows):
-                m, _ = _ext_margin(grown, idx)
-                if m <= 1e-9:
-                    continue
+            for idx in extreme:
                 d = grown.dual_norm(probe_func - grown.norming[idx])
                 best = min(best, d)
             cover = max(cover, best)

@@ -48,7 +48,7 @@ class AmalgamResult:
     def bound(self):
         return self.modulus(self.delta)
 
-    def certificate(self, f_x, f_y, tol=1e-7):
+    def certificate(self, f_x, f_y):
         inputs = {
             "f_x": map_to_json(f_x),
             "f_y": map_to_json(f_y),
@@ -57,7 +57,7 @@ class AmalgamResult:
             "delta": fmt_real(self.delta),
             "modulus": modulus_to_json(self.modulus),
         }
-        return Certificate("nap_defect", inputs, self.bound, self.defect, tol=tol)
+        return Certificate("nap_defect", inputs, self.bound, self.defect, tol=1e-7)
 
 
 @register_claim("nap_defect")
@@ -115,7 +115,7 @@ class PushoutResult:
             {"tag": tag, "g": fmt_vector(g), "h": fmt_vector(h)} for tag, g, h in self.family
         ]
 
-    def certificate(self, phi, f, tol=1e-7, bound=None):
+    def certificate(self, phi, f):
         inputs = {
             "phi": map_to_json(phi),
             "f": map_to_json(f),
@@ -125,9 +125,7 @@ class PushoutResult:
             "modulus": modulus_to_json(self.modulus),
             "family": self.family_json(),
         }
-        return Certificate(
-            "pushout_defect", inputs, self.bound if bound is None else bound, self.defect, tol=tol
-        )
+        return Certificate("pushout_defect", inputs, self.bound, self.defect, tol=1e-7)
 
 
 @register_claim("pushout_defect")
@@ -269,7 +267,7 @@ class ArrowPushoutResult:
     def bound(self):
         return self.modulus(self.delta) + 2.0 * self.delta
 
-    def certificate(self, phi, f, tol=1e-7):
+    def certificate(self, phi, f):
         inputs = {
             "that": map_to_json(phi.dst.t),
             "s": map_to_json(f.dst.t),
@@ -285,7 +283,7 @@ class ArrowPushoutResult:
             "delta": fmt_real(self.delta),
             "modulus": modulus_to_json(self.modulus),
         }
-        return Certificate("arrow_pushout_defect", inputs, self.bound, self.defect, tol=tol)
+        return Certificate("arrow_pushout_defect", inputs, self.bound, self.defect, tol=1e-7)
 
 
 @register_claim("arrow_pushout_defect")

@@ -14,7 +14,9 @@ import json
 
 import numpy as np
 
-from .spaces import BANACH, FUNCTION_SYSTEM, LinearMap, NormedSpace
+from .spaces import LinearMap, Modulus, NormedSpace
+
+VERIFY_TOL = 1e-9
 
 
 def fmt_real(x):
@@ -66,7 +68,8 @@ def modulus_to_json(modulus):
 
 
 def modulus_from_json(kind):
-    return BANACH if kind == "banach" else FUNCTION_SYSTEM
+    """The modulus of a serialized kind; an unknown kind raises ValueError."""
+    return Modulus(kind)
 
 
 def canonical_dumps(obj):
@@ -173,15 +176,15 @@ def recompute_measured(cert):
     return float(fn(cert.inputs))
 
 
-def verify_certificate(cert, tol=1e-9):
+def verify_certificate(cert):
     """Recompute the measured value from the embedded inputs.
 
     Returns (faithful, measured_again). faithful means the recomputation
-    agrees with the recorded value within tol (relative for large values)
-    and the pass flag is reproduced.
+    agrees with the recorded value within VERIFY_TOL (relative for large
+    values) and the pass flag is reproduced.
     """
     again = recompute_measured(cert)
     scale = 1.0 + abs(cert.measured)
-    agree = abs(again - cert.measured) <= tol * scale
+    agree = abs(again - cert.measured) <= VERIFY_TOL * scale
     same_verdict = (again <= cert.bound + cert.tol) == cert.passed
     return agree and same_verdict, again

@@ -33,15 +33,20 @@ from .certify import (
 from .lp import LPBuilder, LPInfeasible, solve_lp
 from .spaces import (
     BANACH,
-    MORPHISM_TOL,
     LinearMap,
     LinfSpace,
     NormedSpace,
     embed_linf,
     extend_morphism,
     map_dist,
+    morphism_distortion,
 )
 from .amalgam import approx_pushout, nap_amalgamate
+
+POLYTOPE_SOURCES = 2  # random polytope norms in the builder's source pool
+PHI_PERTURBATION = 0.15  # entry scale of the perturbed almost-embedding per source
+F_PER_PAIR = 2  # candidate maps per source beyond the padded presentation isometry
+SLACK = 0.1  # certified bound of extensions and couplings: modulus(delta) + SLACK
 
 
 class ResourceLimitError(RuntimeError):
@@ -238,10 +243,10 @@ def _record(source, f, k, phi, g, m, mode, delta, defect, g_distortion):
 # test pools for the builder
 
 
-def _source_pool(rng, extra=2):
+def _source_pool(rng):
     """Small seeded test spaces: coordinate spaces plus random polytope norms."""
     pool = [LinfSpace(1), LinfSpace(2)]
-    for _ in range(extra):
+    for _ in range(POLYTOPE_SOURCES):
         while True:
             rows = rng.normal(size=(4, 2))
             rows /= np.max(np.abs(rows), axis=1, keepdims=True)
@@ -262,7 +267,7 @@ def _signed_perms(n, rng, count):
     return out
 
 
-def _phi_catalog(source, rng, perturb=0.15):
+def _phi_catalog(source, rng):
     """Almost-embeddings of the source into small coordinate spaces.
 
     Exact isometries (the canonical one and signed-permutation twists of
@@ -274,7 +279,7 @@ def _phi_catalog(source, rng, perturb=0.15):
     cat = []
     for p in _signed_perms(n, rng, 2):
         cat.append((LinearMap(source, base.cod, p @ base.matrix), 0.0))
-    bump = rng.normal(size=base.matrix.shape) * perturb / max(1, source.dim)
+    bump = rng.normal(size=base.matrix.shape) * PHI_PERTURBATION / max(1, source.dim)
     cand = LinearMap(source, base.cod, base.matrix + bump)
     if cand.op_norm() <= 1.0:
         dist = cand.distortion()
@@ -295,7 +300,7 @@ def _dual_ball_rows(space, rng, count):
     return rows
 
 
-def _f_pool(source, stage, rng, net_resolution, net_cap, per_pair):
+def _f_pool(source, stage, rng, net_resolution, net_cap):
     """Candidate almost-embeddings of a source into the current stage.
 
     The canonical padded presentation isometry always joins when it fits.
@@ -318,11 +323,11 @@ def _f_pool(source, stage, rng, net_resolution, net_cap, per_pair):
         candidates = [m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9]
     else:
         candidates = []
-        for _ in range(6 * per_pair):
+        for _ in range(6 * F_PER_PAIR):
             mat = np.array(_dual_ball_rows(source, rng, stage.dim))
             candidates.append(LinearMap(source, stage, mat))
     for cand in candidates:
-        if len(out) >= per_pair + 1:
+        if len(out) >= F_PER_PAIR + 1:
             break
         dist = cand.distortion()
         if dist <= 0.45:
@@ -358,13 +363,12 @@ def build_gurarij_chain(
     for k in range(1, depth + 1):
         cur = stages[-1]
         obligations = []
-        for si, source in enumerate(sources):
+        for source in sources:
             phis = _phi_catalog(source, rng)
-            fs = _f_pool(source, cur, rng, net_resolution, net_cap, per_pair=2)
-            for pi, (phi, dphi) in enumerate(phis):
-                for fi, (f, df) in enumerate(fs):
-                    obligations.append((si, pi, fi, source, phi, dphi, f, df))
-        obligations.sort(key=lambda t: (t[0], t[1], t[2]))
+            fs = _f_pool(source, cur, rng, net_resolution, net_cap)
+            for phi, dphi in phis:
+                for f, df in fs:
+                    obligations.append((source, phi, dphi, f, df))
 
         budget = max(0, dim_cap - cur.dim)
         step_growth = int(np.ceil(budget / (depth - k + 1))) if budget else 0
@@ -372,7 +376,7 @@ def build_gurarij_chain(
         lift = LinearMap.identity(cur)  # cur -> z, composition of fold legs
         used = set()
         pending = []  # (obligation meta, resolving map into the current z)
-        for idx, (si, pi, fi, source, phi, dphi, f, df) in enumerate(obligations):
+        for idx, (source, phi, dphi, f, df) in enumerate(obligations):
             if step_growth <= 0:
                 break
             n_f = phi.cod.dim
@@ -405,8 +409,10 @@ def build_gurarij_chain(
             )
 
         extended = 0
-        for idx, (si, pi, fi, source, phi, dphi, f, df) in enumerate(obligations):
-            if idx in used or extended >= extend_per_step:
+        for idx, (source, phi, dphi, f, df) in enumerate(obligations):
+            if extended >= extend_per_step:
+                break
+            if idx in used:
                 continue
             f_top = lift @ f
             try:
@@ -414,7 +420,7 @@ def build_gurarij_chain(
             except (ValueError, LPInfeasible):
                 continue
             defect = map_dist(g @ phi, f_top)
-            g_dist = g.distortion() if g.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
+            g_dist = morphism_distortion(g)
             records.append(
                 _record(source, f, k - 1, phi, g, k, "extend", max(dphi, df), defect, g_dist)
             )
@@ -495,7 +501,7 @@ class ExtensionResult:
         self.modulus = modulus
         self.bound = bound
 
-    def certificate(self, phi, f_top, tol=1e-7):
+    def certificate(self, phi, f_top):
         inputs = {
             "phi": map_to_json(phi),
             "f": map_to_json(f_top),
@@ -505,7 +511,7 @@ class ExtensionResult:
             "mode": self.mode,
         }
         payload = {"distortion": fmt_real(self.distortion), "stage": str(self.stage)}
-        return Certificate("extension_defect", inputs, self.bound, self.defect, tol=tol, payload=payload)
+        return Certificate("extension_defect", inputs, self.bound, self.defect, tol=1e-7, payload=payload)
 
 
 @register_claim("extension_defect")
@@ -516,8 +522,8 @@ def _recheck_extension(inputs):
     return map_dist(g @ phi, f)
 
 
-def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1):
-    """Find and certify g: F -> stage_m with g . phi close to the lift of f.
+def certify_extension(chain, phi, f, k, delta=None):
+    """Find and certify g: F -> top stage with g . phi close to the lift of f.
 
     Four candidate routes: plain extension along phi (defect bound
     guaranteed by construction), pushout followed by an exact retraction,
@@ -528,13 +534,13 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
     bound, else the least defect; the defect is the certified quantity
     and the distortion is reported as measured slack, never assumed.
     """
-    modulus = modulus_from_json(chain.params.get("modulus", {"kind": "banach"}))
-    m = chain.depth if target_stage is None else target_stage
+    modulus = modulus_from_json(chain.params["modulus"])
+    m = chain.depth
     if delta is None:
         delta = max(phi.distortion(), f.distortion())
     j = chain.connecting(k, m)
     f_top = j @ f
-    bound = modulus(delta) + slack
+    bound = modulus(delta) + SLACK
     candidates = []
 
     g_a = extend_morphism(phi, f_top, delta=delta, modulus=modulus, check=False)
@@ -555,8 +561,7 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
     scored = []
     for mode, g in candidates:
         defect = map_dist(g @ phi, f_top)
-        dist = g.distortion() if g.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
-        scored.append((mode, g, defect, dist))
+        scored.append((mode, g, defect, morphism_distortion(g)))
     best = min(scored, key=lambda s: (s[2] > bound, s[3], s[2]))
 
     # pattern pass: cap the defect at the bound (minus a safety sliver) and
@@ -575,12 +580,11 @@ def certify_extension(chain, phi, f, k, delta=None, target_stage=None, slack=0.1
     try:
         g_mat2, _ = _best_contraction_lp(
             phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom,
-            extra_lower=lower, defect_cap=max(best[2], modulus(delta)) + 0.5 * slack,
+            extra_lower=lower, defect_cap=max(best[2], modulus(delta)) + 0.5 * SLACK,
         )
         g2 = LinearMap(phi.cod, chain.stages[m], g_mat2)
         defect2 = map_dist(g2 @ phi, f_top)
-        dist2 = g2.distortion() if g2.op_norm() <= 1.0 + MORPHISM_TOL else float("inf")
-        scored.append(("pattern_lp", g2, defect2, dist2))
+        scored.append(("pattern_lp", g2, defect2, morphism_distortion(g2)))
     except (ValueError, LPInfeasible):
         pass
 
@@ -601,7 +605,7 @@ class BackAndForthResult:
         self.bound = bound
         self.rounds = rounds
 
-    def certificate(self, f_top, g_top, modulus, delta, tol=1e-7):
+    def certificate(self, f_top, g_top, modulus, delta):
         inputs = {
             "f": map_to_json(f_top),
             "g": map_to_json(g_top),
@@ -611,7 +615,7 @@ class BackAndForthResult:
             "modulus": modulus_to_json(modulus),
         }
         payload = {"trace": [fmt_real(t) for t in self.trace], "rounds": str(self.rounds)}
-        return Certificate("back_and_forth_defect", inputs, self.bound, self.defect, tol=tol, payload=payload)
+        return Certificate("back_and_forth_defect", inputs, self.bound, self.defect, tol=1e-7, payload=payload)
 
 
 @register_claim("back_and_forth_defect")
@@ -623,7 +627,7 @@ def _recheck_baf(inputs):
     return max(map_dist(u @ f, g), map_dist(v @ g, f))
 
 
-def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1):
+def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8):
     """Alternating correction scheme between two embeddings of one space.
 
     Produces contractions u, v between the top stage and itself with
@@ -634,13 +638,13 @@ def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8, slack=0.1):
     best defect seen so far, so it is nonincreasing by construction and
     every entry is a measured quantity.
     """
-    modulus = modulus_from_json(chain.params.get("modulus", {"kind": "banach"}))
+    modulus = modulus_from_json(chain.params["modulus"])
     if delta is None:
         delta = max(f.distortion(), g.distortion())
     top = chain.top
     f_top = chain.connecting(kf, chain.depth) @ f
     g_top = chain.connecting(kg, chain.depth) @ g
-    bound = modulus(delta) + slack
+    bound = modulus(delta) + SLACK
 
     def _solve(src_map, dst_map, partner):
         # one contraction top -> top carrying src_map onto dst_map; when a
@@ -699,14 +703,14 @@ class FactorizationWitness:
         self.norm_bound = norm_bound
         self.defect = defect
 
-    def certificate(self, space, tol=1e-7):
+    def certificate(self, space):
         inputs = {
             "space": space_to_json(space),
             "gamma": map_to_json(self.gamma),
             "rho": map_to_json(self.rho),
         }
         payload = {"through_dim": str(self.through_dim), "norm_bound": fmt_real(self.norm_bound)}
-        return Certificate("factorization_defect", inputs, max(self.defect, 0.0), self.defect, tol=tol, payload=payload)
+        return Certificate("factorization_defect", inputs, max(self.defect, 0.0), self.defect, tol=1e-7, payload=payload)
 
 
 @register_claim("factorization_defect")

@@ -12,11 +12,10 @@ with the options, input checks and solution checks of
 overhead, which dominates the tiny LPs of this library. On a scipy
 without those bindings it calls `linprog` itself, with the same answers.
 
-Engine selection, first match wins: the `engine` argument of `solve_lp`,
-the innermost `use_engine` scope, the FRAISSE_LP_ENGINE environment
-variable, then "float". Library code never passes an engine; a caller
-that wants exact arithmetic opens a scope around the whole computation,
-so every LP solved inside it, however deep, runs on the chosen engine.
+Engine selection, first match wins: the innermost `use_engine` scope,
+the FRAISSE_LP_ENGINE environment variable, then "float". A caller that
+wants exact arithmetic opens a scope around the whole computation, so
+every LP solved inside it, however deep, runs on the chosen engine.
 
 `LPBuilder` assembles the block LPs of the library from blocks of
 variables and rows; its `dual_ball_rep` is the motif behind most of
@@ -58,16 +57,15 @@ class LPUnbounded(LPError):
 class LPResult:
     """Optimal value and one optimal point.
 
-    `exact_value` / `exact_x` are Fractions when the exact engine ran,
-    else None. `value` and `x` are always floats.
+    `exact_value` is a Fraction when the exact engine ran, else None.
+    `value` and `x` are always floats.
     """
 
-    def __init__(self, value, x, engine, exact_value=None, exact_x=None):
+    def __init__(self, value, x, engine, exact_value=None):
         self.value = value
         self.x = x
         self.engine = engine
         self.exact_value = exact_value
-        self.exact_x = exact_x
 
     def __repr__(self):
         return f"LPResult(value={self.value!r}, engine={self.engine!r})"
@@ -76,15 +74,18 @@ class LPResult:
 _SCOPE = contextvars.ContextVar("fraisse_lp_engine", default=None)
 
 
-def current_engine(engine=None):
-    """The engine a solve would use now, `engine` overriding the scope."""
-    if engine is None:
-        engine = _SCOPE.get()
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "float")
+def _checked(engine):
     if engine not in ("float", "exact"):
         raise LPError(f"unknown LP engine {engine!r} (expected 'float' or 'exact')")
     return engine
+
+
+def current_engine():
+    """The engine a solve would use now."""
+    engine = _SCOPE.get()
+    if engine is None:
+        engine = os.environ.get(ENGINE_ENV_VAR, "float")
+    return _checked(engine)
 
 
 @contextlib.contextmanager
@@ -94,20 +95,20 @@ def use_engine(name):
     The previous selection is restored on exit; an unknown name raises
     LPError on entry.
     """
-    token = _SCOPE.set(_SCOPE.get() if name is None else current_engine(name))
+    token = _SCOPE.set(_SCOPE.get() if name is None else _checked(name))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True, engine=None):
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True):
     """Optimize c.x over free variables subject to a_ub x <= b_ub, a_eq x = b_eq.
 
     Raises LPInfeasible / LPUnbounded accordingly; any other solver
     misbehavior (including a failed residual check) raises LPError.
     """
-    engine = current_engine(engine)
+    engine = current_engine()
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     a_ub, b_ub = _normalize_block(a_ub, b_ub, n)
@@ -362,7 +363,7 @@ def _solve_exact(c, a_ub, b_ub, a_eq, b_eq, maximize):
     value, xs = _exact_simplex(cf, rows, rels)
     x = np.array([float(v) for v in xs], dtype=float)
     val = value if maximize else -value
-    return LPResult(float(val), x, "exact", exact_value=val, exact_x=xs)
+    return LPResult(float(val), x, "exact", exact_value=val)
 
 
 def _exact_simplex(c, rows, rels):
@@ -427,7 +428,7 @@ def _exact_simplex(c, rows, rels):
         obj = [ZERO] * total
         for col in art_cols:
             obj[col] = -ONE
-        red, _ = _reduced_row(obj, matrix, rhs_col, basis)
+        red = _reduced_row(obj, matrix, rhs_col, basis)
         val = _pivot_until_opt(matrix, rhs_col, basis, red)
         if val < 0:
             raise LPInfeasible("exact LP infeasible")
@@ -446,7 +447,7 @@ def _exact_simplex(c, rows, rels):
     for j in range(n):
         obj[j] = c[j]
         obj[n + j] = -c[j]
-    red, _ = _reduced_row(obj, matrix, rhs_col, basis)
+    red = _reduced_row(obj, matrix, rhs_col, basis)
     _pivot_until_opt(matrix, rhs_col, basis, red)
     x = [ZERO] * n
     for r, col in enumerate(basis):
@@ -468,7 +469,7 @@ def _reduced_row(obj, matrix, rhs_col, basis):
             for j in range(len(row)):
                 red[j] -= coef * row[j]
             red[-1] -= coef * rhs_col[r]
-    return red, -red[-1]
+    return red
 
 
 def _pivot_until_opt(matrix, rhs_col, basis, red):

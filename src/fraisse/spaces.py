@@ -190,12 +190,9 @@ class LinearMap:
         """
         key = ("op_norm", current_engine())
         if key not in self._cache:
-            a, b = self.dom.ball_constraints(1.0)
             best = 0.0
             for row in self.cod.norming:
-                c = row @ self.matrix
-                val = solve_lp(c, a_ub=a, b_ub=b).value
-                best = max(best, val)
+                best = max(best, self.dom.support_value(row @ self.matrix))
             self._cache[key] = best
         return self._cache[key]
 
@@ -241,12 +238,10 @@ class LinearMap:
         return f"LinearMap({self.dom.label} -> {self.cod.label}, {self.cod.dim}x{self.dom.dim})"
 
 
-def op_norm(t):
-    return t.op_norm()
-
-
-def distortion(t):
-    return t.distortion()
+def morphism_distortion(t):
+    """The distortion of t when t is a morphism (op norm within MORPHISM_TOL
+    of one), else +inf: a ranking score for candidate maps."""
+    return t.distortion() if t.op_norm() <= 1.0 + MORPHISM_TOL else math.inf
 
 
 def map_dist(f, g):
@@ -356,13 +351,13 @@ def tuple_image_dist(f, marked, targets):
     )
 
 
-def tuple_dist_upper(a, b, modulus=BANACH):
+def tuple_dist_upper(a, b):
     """Certified upper bound on the marked-tuple distance.
 
     Searches a candidate family of morphisms f: the exact tuple matcher
     rescaled to a contraction plus a scaling grid, scores each by
     max(distortion, tuple image distance), and returns
-    modulus(best) + best. Tuples of different lengths are at distance
+    BANACH(best) + best. Tuples of different lengths are at distance
     +inf by convention.
     """
     if len(a) != len(b):
@@ -382,7 +377,7 @@ def tuple_dist_upper(a, b, modulus=BANACH):
         best = min(best, score)
     if not math.isfinite(best):
         return math.inf
-    return modulus(best) + best
+    return BANACH(best) + best
 
 
 def _padded_identity(rows, cols):
@@ -392,18 +387,15 @@ def _padded_identity(rows, cols):
     return m
 
 
-def gh_dist_upper(x, y, candidates=None):
+def gh_dist_upper(x, y):
     """Upper bound on the two-sided morphism distance of two spaces.
 
     Evaluates candidate pairs (f: X -> Y, g: Y -> X) by
     max(I(f), I(g), d(g f, id), d(f g, id)) and returns the best found.
     Dimension mismatch just produces a finite (possibly large) bound.
     """
-    pairs = []
-    if candidates:
-        pairs.extend(candidates)
     pid = _padded_identity(y.dim, x.dim)
-    pairs.append((LinearMap(x, y, pid), LinearMap(y, x, pid.T)))
+    pairs = [(LinearMap(x, y, pid), LinearMap(y, x, pid.T))]
     if x.rows == y.rows:
         # Align the presentations: W_Y M ~ W_X in least squares.
         m, *_ = np.linalg.lstsq(y.norming, x.norming, rcond=None)

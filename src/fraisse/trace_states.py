@@ -157,7 +157,7 @@ def projector_family(d):
     return fam
 
 
-def find_light_block(rho, d, ell, family=None):
+def find_light_block(rho, d, ell):
     """First block whose every family test is under 1/ell, with a recheck.
 
     For each test p, sum_j Tr(b_j p) <= ||p|| <= 1, so at most ell blocks
@@ -166,7 +166,7 @@ def find_light_block(rho, d, ell, family=None):
     tests are recomputed directly from the density matrix as a second
     route before it is accepted.
     """
-    family = projector_family(d) if family is None else family
+    family = projector_family(d)
     blocks = block_compress(rho, d)
     k = len(blocks)
     if k < ell * len(family) + 1:
@@ -254,7 +254,7 @@ def _recheck_matrix_defect(inputs):
     return worst
 
 
-def minimal_embedding(s_state, t_state, eps=None, ell=None, family=None, seed=0, samples=1000):
+def minimal_embedding(s_state, t_state, eps=None, ell=None, seed=0, samples=1000):
     """Embed M_d into M_{kd} carrying t almost onto the restriction of s.
 
     Takes the state s on the big algebra and the target t on the small
@@ -270,11 +270,11 @@ def minimal_embedding(s_state, t_state, eps=None, ell=None, family=None, seed=0,
     if ell is None:
         ell = int(np.ceil(16.0 / eps))
     d = t_state.dim
-    family = projector_family(d) if family is None else family
+    family = projector_family(d)
     k = s_state.dim // d
     if s_state.dim % d != 0:
         raise ValueError("big algebra dimension must be a multiple of d")
-    j, block = find_light_block(s_state.density, d, ell, family=family)
+    j, block = find_light_block(s_state.density, d, ell)
     block_norm = float(np.max(np.abs(np.linalg.eigvalsh((block + block.conj().T) / 2.0))))
     block_trace = float(np.trace(block).real)
     emb = MatrixEmbedding(d, k, t_state, j)
@@ -305,21 +305,21 @@ def minimal_embedding(s_state, t_state, eps=None, ell=None, family=None, seed=0,
     return MatrixEmbeddingResult(emb, block, block_norm, block_trace, ell, len(family), cert)
 
 
-def embedding_checks(result, s_state, rng=None, trials=5):
+def embedding_checks(result, s_state):
     """Direct route: materialize phi(x) and evaluate s against it.
 
-    Cross-checks the block formula against the full trace on a handful of
+    Cross-checks the block formula against the full trace on five seeded
     samples, and confirms unitality, self-adjointness and exact isometry
     of the embedding on those samples. Returns the worst formula gap.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     emb = result.embedding
     d = emb.d
     gap = 0.0
     eye_big = emb.apply(np.eye(d, dtype=complex))
     if float(np.max(np.abs(eye_big - np.eye(emb.k * d, dtype=complex)))) > 1e-12:
         raise RuntimeError("embedding is not unital")
-    for _ in range(trials):
+    for _ in range(5):
         x = random_hermitian_unit(d, rng)
         big = emb.apply(x)
         if float(np.max(np.abs(big - big.conj().T))) > 1e-12:

@@ -31,6 +31,7 @@ from .lp import LPBuilder
 from .spaces import LinearMap, NormedSpace, map_dist
 
 UNIT_TOL = 1e-9
+WEIGHT_TOL = 1e-9
 
 
 class FunctionSystem(NormedSpace):
@@ -70,13 +71,13 @@ def system_from_json(data):
 class StateVector:
     """A state given as a convex combination of the presentation rows."""
 
-    def __init__(self, system, weights, tol=1e-9):
+    def __init__(self, system, weights):
         lam = np.asarray(weights, dtype=float)
         if lam.shape != (system.rows,):
             raise ValueError("need one weight per presentation row")
-        if np.min(lam) < -tol:
+        if np.min(lam) < -WEIGHT_TOL:
             raise ValueError(f"negative state weight {np.min(lam):.3e}")
-        if abs(np.sum(lam) - 1.0) > tol:
+        if abs(np.sum(lam) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"state weights sum to {np.sum(lam)}")
         self.system = system
         self.weights = np.clip(lam, 0.0, None)
@@ -90,26 +91,35 @@ class StateVector:
         return float(self.functional @ np.asarray(x, dtype=float))
 
 
+def _hull_distance(hull, w, row):
+    """Dual-norm distance from row to the convex hull of the rows of hull.
+
+    min sum |mu| over hull weights nu and representations
+    (row - nu' hull) = mu' w, the dual norm being that of the space
+    presented by w. Returns (distance, nu).
+    """
+    lp = LPBuilder()
+    nu = lp.new_vars(hull.shape[0])
+    mu = lp.new_vars(2 * w.shape[0])
+    t = lp.new_vars()
+    lp.nonneg(nu)
+    rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
+    lp.add_eq(row, (nu, hull.T), (mu, rep))
+    lp.add_eq(1.0, (nu, 1.0))
+    res = lp.solve(t)
+    return max(res.value, 0.0), res.x[nu]
+
+
 def state_distance(space, row):
     """Dual-norm distance from a functional to the state set of a space.
 
-    min over states lam' W and representations (row - state) = mu' W of
-    sum |mu|; exact because the dual ball is by definition the absolute
+    The states are the convex hull of the presentation rows, and the
+    distance is exact because the dual ball is by definition the absolute
     hull of the rows. Returns (distance, weights of the nearest state).
     """
-    w = space.norming
-    lp = LPBuilder()
-    lam = lp.new_vars(w.shape[0])
-    mu = lp.new_vars(2 * w.shape[0])
-    t = lp.new_vars()
-    lp.nonneg(lam)
-    rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
-    lp.add_eq(row, (lam, w.T), (mu, rep))
-    lp.add_eq(1.0, (lam, 1.0))
-    res = lp.solve(t)
-    lam = np.clip(res.x[lam], 0.0, None)
-    lam = lam / max(np.sum(lam), 1e-300)
-    return max(res.value, 0.0), lam
+    dist, lam = _hull_distance(space.norming, space.norming, row)
+    lam = np.clip(lam, 0.0, None)
+    return dist, lam / max(np.sum(lam), 1e-300)
 
 
 def project_rows_to_states(space, rows):
@@ -173,26 +183,13 @@ def perturb_to_unital_positive(f, delta):
 def _recheck_poulsen(inputs):
     system = system_from_json(inputs["system"])
     idx = int(inputs["new_row"])
-    margin, _ = _ext_margin(system, idx)
-    return parse_real(inputs["tau"]) - margin
+    return parse_real(inputs["tau"]) - _ext_margin(system, idx)
 
 
 def _ext_margin(system, idx):
     """Dual-norm separation of row idx from the hull of the other rows."""
-    others = np.delete(system.norming, idx, axis=0)
-    # distance from row idx to conv(others) in the dual norm: hull weights
-    # nu, representation mu of the gap over all rows
     w = system.norming
-    lp = LPBuilder()
-    nu = lp.new_vars(others.shape[0])
-    mu = lp.new_vars(2 * w.shape[0])
-    t = lp.new_vars()
-    lp.nonneg(nu)
-    rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
-    lp.add_eq(w[idx], (nu, others.T), (mu, rep))
-    lp.add_eq(1.0, (nu, 1.0))
-    res = lp.solve(t)
-    return max(res.value, 0.0), res.x[nu]
+    return _hull_distance(np.delete(w, idx, axis=0), w, w[idx])[0]
 
 
 class PoulsenStep:
@@ -233,7 +230,7 @@ def poulsen_extension_step(system, target, tau=0.5):
     phi_mat[n, :] = func
     phi = LinearMap(system, grown, phi_mat)
     idx = system.rows
-    margin, _ = _ext_margin(grown, idx)
+    margin = _ext_margin(grown, idx)
     inputs = {
         "system": system_to_json(grown),
         "new_row": str(idx),
@@ -285,7 +282,7 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
         stages.append(grown)
         # probe states lift along the tower: their functionals pull back, and
         # the cover radius is the distance to the nearest currently extreme row
-        extreme = [idx for idx in range(grown.rows) if _ext_margin(grown, idx)[0] > 1e-9]
+        extreme = [idx for idx in range(grown.rows) if _ext_margin(grown, idx) > 1e-9]
         cover = 0.0
         for pw in probes:
             base = np.zeros(grown.rows)
@@ -513,11 +510,19 @@ def biface_check(space, p, x, y, eps):
     return BallCheckResult("biface_ball", violation, None, eps, inputs)
 
 
-def kernel_basis(p, tol=1e-10):
-    """Orthonormal basis of ker p with deterministic signs."""
+def kernel_basis(p):
+    """Orthonormal basis of ker p with deterministic signs; the rank
+    cutoff is 1e-10 * max(1, s0), s0 the largest singular value."""
+    return _null_basis(p, 1.0)
+
+
+def _null_basis(p, floor):
+    """Orthonormal basis of ker p by SVD, each column's first nonzero
+    entry made positive; singular values up to 1e-10 * max(floor, s0)
+    count as zero, s0 the largest."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     _, sv, vt = np.linalg.svd(p)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0] if sv.size else 1.0)))
+    rank = int(np.sum(sv > 1e-10 * max(floor, sv[0] if sv.size else 1.0)))
     basis = vt[rank:].T
     cols = []
     for c in basis.T:

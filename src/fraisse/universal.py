@@ -37,18 +37,23 @@ from .certify import (
     parse_vector,
     register_claim,
 )
+from .chains import _best_contraction_lp
 from .lp import LPBuilder, LPInfeasible
 from .spaces import (
     LinearMap,
     LinfSpace,
-    MORPHISM_TOL,
     NormedSpace,
+    _least_coefficient_sum,
+    embed_linf,
     extend_morphism,
     map_dist,
+    morphism_distortion,
 )
-from .unital import build_poulsen_chain
+from .unital import _null_basis, build_poulsen_chain
 
 SQUARE_TOL = 1e-9
+ANCHOR_THRESHOLD = 0.4  # least image norm of a domain direction a fold may anchor at
+CANDIDATE_LIMIT = 48  # signed coordinate injections tried per absorption check
 
 
 def prune_redundant_rows(space):
@@ -67,14 +72,8 @@ def prune_redundant_rows(space):
             others = [j for j in alive if j != i]
             if len(others) < 1:
                 continue
-            mat = w[others]
-            # min sum |lam| with lam' mat = w[i]
-            lp = LPBuilder()
-            lam = lp.new_vars(2 * len(others))
-            lp.nonneg(lam)
-            lp.add_eq(w[i], (lam, np.hstack([mat.T, -mat.T])))
             try:
-                res = lp.solve(lam)
+                res = _least_coefficient_sum(w[others].T, w[i])
             except LPInfeasible:
                 continue
             if res.value <= 1.0 + 1e-9:
@@ -82,11 +81,6 @@ def prune_redundant_rows(space):
                 changed = True
     kept = sorted(alive)
     return NormedSpace(w[kept], label=space.label), kept
-
-
-def absorb_presentation(space):
-    """The presentation isometry of a presented space into its sup space."""
-    return LinearMap(space, LinfSpace(space.rows), space.norming.copy())
 
 
 class ArrowChain:
@@ -150,13 +144,13 @@ class ArrowChain:
         return content_hash(canonical_dumps(self.to_json()))
 
 
-def _direction_scales(t, threshold=0.4):
+def _direction_scales(t):
     """Coordinate directions of the domain with their image norms under t."""
     out = []
     eye = np.eye(t.dom.dim)
     for i in range(t.dom.dim):
         c = t.cod.norm(t.apply(eye[i]))
-        if c >= threshold:
+        if c >= ANCHOR_THRESHOLD:
             out.append((i, c))
     return out
 
@@ -224,8 +218,8 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
             po = arrow_pushout(phi, f, delta=delta)
             y0p, _ = prune_redundant_rows(po.shat.dom)
             y1p, _ = prune_redundant_rows(po.shat.cod)
-            emb0 = absorb_presentation(y0p) @ LinearMap(po.shat.dom, y0p, np.eye(po.shat.dom.dim))
-            emb1 = absorb_presentation(y1p) @ LinearMap(po.shat.cod, y1p, np.eye(po.shat.cod.dim))
+            emb0 = embed_linf(y0p) @ LinearMap(po.shat.dom, y0p, np.eye(po.shat.dom.dim))
+            emb1 = embed_linf(y1p) @ LinearMap(po.shat.cod, y1p, np.eye(po.shat.cod.dim))
             shat_new = extend_morphism(emb0, emb1 @ po.shat.t, delta=0.0, check=False)
             new_stage = ArrowObject(shat_new, f"stage{k}")
             conn = ArrowMorphism(stage, new_stage, emb0 @ po.j.a0, emb1 @ po.j.a1)
@@ -337,7 +331,7 @@ class UniversalCheckResult:
         self.passed = passed
         self.via = via
 
-    def certificate(self, l_map, t_map, tol=1e-7):
+    def certificate(self, l_map, t_map):
         inputs = {
             "l": map_to_json(l_map),
             "t": map_to_json(t_map),
@@ -351,7 +345,7 @@ class UniversalCheckResult:
             "via": self.via,
         }
         return Certificate(
-            "operator_absorption", inputs, self.eps, self.defect, tol=tol, payload=payload
+            "operator_absorption", inputs, self.eps, self.defect, tol=1e-7, payload=payload
         )
 
 
@@ -381,43 +375,14 @@ def _signed_injections(src_dim, dst_dim, limit):
                 return
 
 
-def _safe_distortion(m):
-    if m.op_norm() > 1.0 + MORPHISM_TOL:
-        return float("inf")
-    return m.distortion()
-
-
-def _solve_partner_lp(t_map, l_map, alpha0_mat):
-    """Best contraction alpha1 minimizing sup_ball |T alpha0 x - alpha1 L x|."""
-    f0, f1 = l_map.dom, l_map.cod
-    target = t_map.matrix @ alpha0_mat  # y.dim x f0.dim
-    m = t_map.cod.dim
-    lp = LPBuilder()
-    alpha1 = lp.new_vars(m, f1.dim)
-    t = lp.new_vars()
-    lams = lp.new_vars(m, 2 * f1.rows)
-    mus = lp.new_vars(m, 2 * f0.rows)
-    # rows of alpha1 live in the dual ball of F1: signed row representations
-    for i in range(m):
-        rep = lp.dual_ball_rep(lams[i], f1.norming, 1.0)
-        lp.add_eq(np.zeros(f1.dim), (alpha1[i], np.eye(f1.dim)), (lams[i], -rep))
-    # defect rows: each row of (T alpha0 - alpha1 L) has F0 dual norm <= t
-    for i in range(m):
-        rep = lp.dual_ball_rep(mus[i], f0.norming, 0.0, (t, -1.0))
-        lp.add_eq(-target[i], (alpha1[i], -l_map.matrix.T), (mus[i], -rep))
-    res = lp.solve(t)
-    return res.x[alpha1], max(res.value, 0.0)
-
-
-def check_universal_operator_property(
-    chain, l_map, eps, stage=None, hints=None, candidate_limit=48
-):
+def check_universal_operator_property(chain, l_map, eps, stage=None, hints=None):
     """Can the tower operator absorb the test operator within eps.
 
     Searches pairs (alpha0, alpha1) of almost isometric contractions with
     T alpha0 close to alpha1 L. Candidate alpha0 come from optional hint
     matrices (a replayed fold witness, say) followed by signed coordinate
-    injections; for each candidate the optimal partner alpha1 is one LP,
+    injections; for each candidate the optimal partner alpha1 is one LP
+    (the best contraction alpha1 minimizing sup_ball |T alpha0 x - alpha1 L x|),
     solved independently of any hint. Passing means the measured square
     defect and both measured distortions are within eps.
     """
@@ -426,19 +391,22 @@ def check_universal_operator_property(
     candidates = []
     for h in hints or []:
         candidates.append((np.asarray(h, dtype=float), "hint"))
-    for mat in _signed_injections(l_map.dom.dim, t_map.dom.dim, candidate_limit):
+    for mat in _signed_injections(l_map.dom.dim, t_map.dom.dim, CANDIDATE_LIMIT):
         candidates.append((mat, "search"))
     best = None
     for a0_mat, via in candidates:
         try:
-            a1_mat, defect = _solve_partner_lp(t_map, l_map, a0_mat)
+            a1_mat, defect = _best_contraction_lp(
+                l_map.cod, t_map.cod, l_map.matrix, t_map.matrix @ a0_mat, l_map.dom
+            )
         except LPInfeasible:
             continue
+        defect = max(defect, 0.0)
         alpha0 = LinearMap(l_map.dom, t_map.dom, a0_mat)
         alpha1 = LinearMap(l_map.cod, t_map.cod, a1_mat)
-        d0 = _safe_distortion(alpha0)
-        d1 = _safe_distortion(alpha1)
-        score = (max(defect, 0.0), max(d0, d1))
+        d0 = morphism_distortion(alpha0)
+        d1 = morphism_distortion(alpha1)
+        score = (defect, max(d0, d1))
         if best is None or score < best[0]:
             best = (score, alpha0, alpha1, defect, d0, d1, via)
             if defect <= 1e-12 and max(d0, d1) <= 1e-12:
@@ -573,24 +541,15 @@ def _recheck_kernel(inputs):
 def kernel_stage(t_map, eps=1e-8):
     """Present the kernel of a stage operator with its restricted norm.
 
-    Null space by singular value decomposition with deterministic signs;
-    the presentation rows are the dom rows restricted to the kernel
-    basis, zero rows pruned. The certificate bounds the worst image norm
+    Null space by singular value decomposition with deterministic signs
+    and rank cutoff 1e-10 * s0, s0 the largest singular value; the
+    presentation rows are the dom rows restricted to the kernel basis,
+    zero rows pruned. The certificate bounds the worst image norm
     over the kernel ball by eps.
     """
-    _, sv, vt = np.linalg.svd(t_map.matrix)
-    tol = 1e-10 * (sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > tol))
-    basis = vt[rank:].T
-    if basis.shape[1] == 0:
+    q = _null_basis(t_map.matrix, 0.0)
+    if q.shape[1] == 0:
         raise ValueError("the operator has trivial kernel at this tolerance")
-    cols = []
-    for c in basis.T:
-        nz = np.nonzero(np.abs(c) > 1e-12)[0]
-        if nz.size and c[nz[0]] < 0:
-            c = -c
-        cols.append(c)
-    q = np.column_stack(cols)
     norming = t_map.dom.norming @ q
     keep = [i for i in range(norming.shape[0]) if np.max(np.abs(norming[i])) > 1e-12]
     space = NormedSpace(norming[keep], label="kernel")
@@ -635,7 +594,7 @@ class StateChain:
         return content_hash(canonical_dumps(self.to_json()))
 
 
-def build_universal_state_chain(depth, targets_per_step=2, seed=0):
+def build_universal_state_chain(depth, seed=0):
     """The dense-boundary tower with a state pulled back through retractions.
 
     The connective of each growth step appends coordinates, so dropping
@@ -646,7 +605,7 @@ def build_universal_state_chain(depth, targets_per_step=2, seed=0):
     of state-free coordinates, and is checked, not assumed, by
     check_universal_state_property.
     """
-    chain = build_poulsen_chain(depth, targets_per_step=targets_per_step, seed=seed)
+    chain = build_poulsen_chain(depth, targets_per_step=2, seed=seed)
     states = [np.array([0.5, 0.5])]
     retractions = []
     for k in range(chain.depth):
@@ -714,7 +673,7 @@ def check_universal_state_property(state_chain, system, sigma, eps, stage=None):
     alpha = LinearMap(system, target, alpha_mat)
     pullback = s_func @ alpha_mat - sigma
     defect = system.dual_norm(pullback)
-    dist = _safe_distortion(alpha)
+    dist = morphism_distortion(alpha)
     passed = defect <= eps + 1e-9 and dist <= eps + 1e-9
     inputs = {
         "alpha": map_to_json(alpha),

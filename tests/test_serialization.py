@@ -13,6 +13,8 @@ from fraisse.certify import (
     fmt_vector,
     map_from_json,
     map_to_json,
+    modulus_from_json,
+    modulus_to_json,
     parse_real,
     space_from_json,
     space_to_json,
@@ -20,7 +22,7 @@ from fraisse.certify import (
 )
 from fraisse.chains import ExtensionResult
 from fraisse.cli import main
-from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace
+from fraisse.spaces import BANACH, FUNCTION_SYSTEM, LinearMap, LinfSpace, NormedSpace
 from fraisse.unital import minimality_map, simplex_system, system_from_json, system_to_json
 
 
@@ -53,6 +55,15 @@ def test_function_system_roundtrip_keeps_unit():
     back = system_from_json(system_to_json(sys3))
     assert np.array_equal(back.unit, sys3.unit)
     assert np.array_equal(back.norming, sys3.norming)
+
+
+def test_modulus_roundtrip_rejects_unknown_kinds():
+    for modulus in (BANACH, FUNCTION_SYSTEM):
+        assert modulus_from_json(modulus_to_json(modulus)) == modulus
+    # neither a misspelt kind nor a dict may fall back to the 2*delta class
+    for bad in ("Banach", {"kind": "banach"}):
+        with pytest.raises(ValueError, match="unknown modulus kind"):
+            modulus_from_json(bad)
 
 
 def test_certificate_payload_roundtrip(tmp_path):

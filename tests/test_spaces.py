@@ -17,6 +17,7 @@ from fraisse.spaces import (
     embed_linf,
     gh_dist_upper,
     map_dist,
+    morphism_distortion,
     tuple_dist_upper,
 )
 
@@ -142,14 +143,21 @@ def test_identity_is_isometry():
 
 def test_embed_linf_exact_isometry():
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        sp = NormedSpace(oracles.random_norming(rng))
+    three_rows = NormedSpace([[1.0, 1.0], [1.0, -1.0], [0.2, 0.9]])
+    for k in range(11):
+        sp = NormedSpace(oracles.random_norming(rng)) if k < 10 else three_rows
         j = embed_linf(sp)
-        assert j.cod.is_linf
+        assert j.cod.is_linf and j.cod.dim == sp.rows
         assert j.op_norm() <= 1.0 + 1e-9
         assert j.distortion() <= 1e-9
         x = rng.normal(size=2)
         assert j.cod.norm(j.apply(x)) == pytest.approx(sp.norm(x), abs=1e-12)
+
+
+def test_morphism_distortion_scores_only_contractions():
+    j = embed_linf(NormedSpace([[1.0, 1.0], [1.0, -1.0], [0.2, 0.9]]))
+    assert morphism_distortion(j.scale(1.5)) == np.inf
+    assert morphism_distortion(j.scale(0.9)) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_map_algebra_shape_checks():

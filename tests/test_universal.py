@@ -8,7 +8,6 @@ from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
 from fraisse.universal import (
     SQUARE_TOL,
     ArrowChain,
-    absorb_presentation,
     battery_from_json,
     battery_to_json,
     build_universal_operator_chain,
@@ -22,7 +21,7 @@ from fraisse.universal import (
     prune_redundant_rows,
     surjectivity_defect,
 )
-from fraisse.unital import simplex_system
+from fraisse.unital import kernel_basis, simplex_system
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +45,6 @@ def test_prune_keeps_essential_rows():
     pruned, kept = prune_redundant_rows(sp)
     assert pruned.rows == 2
     assert kept == [0, 1]
-
-
-def test_absorb_presentation_isometry():
-    sp = NormedSpace([[1.0, 1.0], [1.0, -1.0], [0.2, 0.9]])
-    iota = absorb_presentation(sp)
-    assert iota.cod.is_linf and iota.cod.dim == sp.rows
-    assert iota.op_norm() <= 1.0 + 1e-9
-    assert iota.distortion() <= 1e-9
 
 
 def test_operator_chain_exact_squares(chain2):
@@ -183,6 +174,15 @@ def test_kernel_stage_trivial_kernel_rejected():
     t = LinearMap(LinfSpace(2), LinfSpace(2), np.eye(2))
     with pytest.raises(ValueError, match="trivial kernel"):
         kernel_stage(t)
+
+
+def test_null_space_rank_cutoffs():
+    # kernel_basis cuts at 1e-10 * max(1, s0) and drops 1e-12; kernel_stage
+    # cuts at 1e-10 * s0 = 1e-13 and keeps it, so its kernel is trivial
+    p = np.diag([1e-3, 1e-12])
+    assert kernel_basis(p).shape == (2, 1)
+    with pytest.raises(ValueError, match="trivial kernel"):
+        kernel_stage(LinearMap(LinfSpace(2), LinfSpace(2), p))
 
 
 def test_state_chain_exact_compatibility():

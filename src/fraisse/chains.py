@@ -46,6 +46,7 @@ from .amalgam import approx_pushout, nap_amalgamate
 POLYTOPE_SOURCES = 2  # random polytope norms in the builder's source pool
 PHI_PERTURBATION = 0.15  # entry scale of the perturbed almost-embedding per source
 F_PER_PAIR = 2  # candidate maps per source beyond the padded presentation isometry
+SIGNED_PERMS = 2  # signed-permutation twists of the presentation isometry per source
 SLACK = 0.1  # certified bound of extensions and couplings: modulus(delta) + SLACK
 
 
@@ -258,9 +259,9 @@ def _source_pool(rng):
     return pool
 
 
-def _signed_perms(n, rng, count):
+def _signed_perms(n, rng):
     out = [np.eye(n)]
-    for _ in range(count):
+    for _ in range(SIGNED_PERMS):
         p = rng.permutation(n)
         s = rng.choice([-1.0, 1.0], size=n)
         out.append(np.eye(n)[p] * s[:, None])
@@ -272,20 +273,25 @@ def _phi_catalog(source, rng):
 
     Exact isometries (the canonical one and signed-permutation twists of
     it) plus one measured perturbation, so obligations carry both delta=0
-    and genuinely positive promised deltas.
+    and genuinely positive promised deltas. The call takes the rng draws
+    (the twists and the bump); the returned thunk runs the op-norm and
+    distortion LPs that filter the perturbation, so the caller can defer
+    or skip them without moving the rng stream.
     """
     base = embed_linf(source)
-    n = base.cod.dim
-    cat = []
-    for p in _signed_perms(n, rng, 2):
-        cat.append((LinearMap(source, base.cod, p @ base.matrix), 0.0))
+    perms = _signed_perms(base.cod.dim, rng)
     bump = rng.normal(size=base.matrix.shape) * PHI_PERTURBATION / max(1, source.dim)
-    cand = LinearMap(source, base.cod, base.matrix + bump)
-    if cand.op_norm() <= 1.0:
-        dist = cand.distortion()
-        if dist <= 0.4:
-            cat.append((cand, dist))
-    return cat
+
+    def catalog():
+        cat = [(LinearMap(source, base.cod, p @ base.matrix), 0.0) for p in perms]
+        cand = LinearMap(source, base.cod, base.matrix + bump)
+        if cand.op_norm() <= 1.0:
+            dist = cand.distortion()
+            if dist <= 0.4:
+                cat.append((cand, dist))
+        return cat
+
+    return catalog
 
 
 def _dual_ball_rows(space, rng, count):
@@ -308,31 +314,54 @@ def _f_pool(source, stage, rng, net_resolution, net_cap):
     rest; otherwise candidate rows are drawn exactly from the dual ball
     (signed simplex mixtures of presentation rows), which makes every
     candidate a contraction by construction and leaves one distortion LP
-    per candidate as the only filter.
+    per candidate as the only filter. The call takes the rng draws (the
+    net seed, or every dual-ball candidate); the returned thunk builds the
+    net and runs the filter LPs, so the caller can defer or skip them
+    without moving the rng stream.
     """
-    out = []
-    ncan = embed_linf(source)
-    if ncan.cod.dim <= stage.dim:
-        pad = np.zeros((stage.dim, source.dim))
-        pad[: ncan.cod.dim, :] = ncan.matrix
-        out.append((LinearMap(source, stage, pad), 0.0))
     if source.dim * stage.dim <= 4:
-        net = build_morphism_net(
-            source, stage, net_resolution, cap=net_cap, seed=int(rng.integers(0, 2**31))
-        )
-        candidates = [m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9]
+        net_seed = int(rng.integers(0, 2**31))
+        drawn = None
     else:
-        candidates = []
-        for _ in range(6 * F_PER_PAIR):
-            mat = np.array(_dual_ball_rows(source, rng, stage.dim))
-            candidates.append(LinearMap(source, stage, mat))
-    for cand in candidates:
-        if len(out) >= F_PER_PAIR + 1:
-            break
-        dist = cand.distortion()
-        if dist <= 0.45:
-            out.append((cand, dist))
-    return out
+        drawn = [
+            LinearMap(source, stage, np.array(_dual_ball_rows(source, rng, stage.dim)))
+            for _ in range(6 * F_PER_PAIR)
+        ]
+
+    def pool():
+        out = []
+        ncan = embed_linf(source)
+        if ncan.cod.dim <= stage.dim:
+            pad = np.zeros((stage.dim, source.dim))
+            pad[: ncan.cod.dim, :] = ncan.matrix
+            out.append((LinearMap(source, stage, pad), 0.0))
+        candidates = drawn
+        if drawn is None:
+            net = build_morphism_net(source, stage, net_resolution, cap=net_cap, seed=net_seed)
+            candidates = [m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9]
+        for cand in candidates:
+            if len(out) >= F_PER_PAIR + 1:
+                break
+            dist = cand.distortion()
+            if dist <= 0.45:
+                out.append((cand, dist))
+        return out
+
+    return pool
+
+
+def _walk(pools, reached):
+    """The step's obligations (source, phi, dphi, f, df) in source order.
+
+    pools holds (source, phi thunk, f thunk) per source. A source's thunks
+    run the first time a walk reaches it, and its obligations join
+    reached, so a later walk replays them without solving again.
+    """
+    for s, (source, phis, fs) in enumerate(pools):
+        if s == len(reached):
+            phis, fs = phis(), fs()
+            reached.append([(source, phi, dphi, f, df) for phi, dphi in phis for f, df in fs])
+        yield from reached[s]
 
 
 def build_gurarij_chain(
@@ -353,7 +382,11 @@ def build_gurarij_chain(
     map exactly isometric, defect <= modulus(delta)), and resolves a
     capped number of the rest in place by extension along phi (no growth,
     defect <= modulus(delta_phi), distortion of the resolving map
-    measured and recorded, not assumed).
+    measured and recorded, not assumed). The step takes every source's
+    rng draws up front, in source order, but a source's pools are built
+    and LP-filtered only when the fold or the extension walk first
+    reaches it; no draw depends on an LP, so the tower is the same as if
+    every pool were filtered.
     """
     rng = np.random.default_rng(seed)
     stages = [LinfSpace(start_dim)]
@@ -362,13 +395,11 @@ def build_gurarij_chain(
     sources = _source_pool(rng)
     for k in range(1, depth + 1):
         cur = stages[-1]
-        obligations = []
-        for source in sources:
-            phis = _phi_catalog(source, rng)
-            fs = _f_pool(source, cur, rng, net_resolution, net_cap)
-            for phi, dphi in phis:
-                for f, df in fs:
-                    obligations.append((source, phi, dphi, f, df))
+        pools = [
+            (source, _phi_catalog(source, rng), _f_pool(source, cur, rng, net_resolution, net_cap))
+            for source in sources
+        ]
+        reached = []  # obligations of the sources the walk has filtered
 
         budget = max(0, dim_cap - cur.dim)
         step_growth = int(np.ceil(budget / (depth - k + 1))) if budget else 0
@@ -376,9 +407,11 @@ def build_gurarij_chain(
         lift = LinearMap.identity(cur)  # cur -> z, composition of fold legs
         used = set()
         pending = []  # (obligation meta, resolving map into the current z)
-        for idx, (source, phi, dphi, f, df) in enumerate(obligations):
-            if step_growth <= 0:
-                break
+        # both loops stop once their quota is met, before the walk can
+        # reach (and filter) a source they would not look at
+        for idx, (source, phi, dphi, f, df) in enumerate(
+            _walk(pools, reached) if step_growth > 0 else ()
+        ):
             n_f = phi.cod.dim
             if n_f > step_growth:
                 continue
@@ -397,6 +430,8 @@ def build_gurarij_chain(
             pending.append(((source, f, k - 1, phi, k, delta), res.j))
             used.add(idx)
             step_growth -= n_f
+            if step_growth <= 0:
+                break
         connectives.append(lift)
         stages.append(z)
 
@@ -409,9 +444,9 @@ def build_gurarij_chain(
             )
 
         extended = 0
-        for idx, (source, phi, dphi, f, df) in enumerate(obligations):
-            if extended >= extend_per_step:
-                break
+        for idx, (source, phi, dphi, f, df) in enumerate(
+            _walk(pools, reached) if extend_per_step > 0 else ()
+        ):
             if idx in used:
                 continue
             f_top = lift @ f
@@ -425,6 +460,8 @@ def build_gurarij_chain(
                 _record(source, f, k - 1, phi, g, k, "extend", max(dphi, df), defect, g_dist)
             )
             extended += 1
+            if extended >= extend_per_step:
+                break
 
     params = {
         "depth": depth,

@@ -533,16 +533,14 @@ def _null_basis(p, floor):
     return np.column_stack(cols) if cols else np.zeros((p.shape[1], 0))
 
 
-def find_biface_counterexample(space, p, eps, threshold=None):
+def find_biface_counterexample(space, p, eps):
     """Grid search for a quantified failure of the ball intersection check.
 
     Scans sign-pattern ball elements x and kernel combinations y scaled to
     the unit ball; returns the first (x, y, violation) with violation
-    above the threshold (default: eps), or None.
+    above eps, or None.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    if threshold is None:
-        threshold = eps
     basis = kernel_basis(p)
     if basis.shape[1] == 0:
         return None
@@ -564,6 +562,6 @@ def find_biface_counterexample(space, p, eps, threshold=None):
     for y in ys:
         for x in xs:
             violation = _biface_violation(space, p, x, y, eps)
-            if violation > threshold:
+            if violation > eps:
                 return x, y, violation
     return None

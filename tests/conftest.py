@@ -25,6 +25,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the LPs each engine solves."""
+    from fraisse import lp
+
+    counts = {"float": 0, "exact": 0}
+    for name in counts:
+
+        def spy(*args, _name=name, _orig=getattr(lp, f"_solve_{name}")):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(lp, f"_solve_{name}", spy)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def gurarij_chain():
     """The depth-5 tower shared by the extension and coupling criteria."""

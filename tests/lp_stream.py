@@ -1,0 +1,157 @@
+"""Record the LP stream of one build or benchmark round, one digest per solve.
+
+    PYTHONPATH=src python tests/lp_stream.py build gurarij depth=5 dim_cap=12 seed=0 > a.txt
+    PYTHONPATH=src python tests/lp_stream.py bench gurarij-tower --seed 0 > b.txt
+    python tests/lp_stream.py compare old.txt new.txt
+
+`build` runs one builder (`gurarij`, `operator`, `poulsen` or `state`)
+with keyword arguments given as `name=literal`; `--engine exact` opens
+`use_engine("exact")` around it. `bench` runs the first round of a
+workload from `bench/workloads.py`. Both wrap `lp._solve_float` and
+`lp._solve_exact` and print one line per solve: the engine, a sha256 of
+the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
+that -0.0 reads as 0.0, and maximize) and the fraisse call path that
+asked for it. The artifact's content hash, or the round's digest, goes to
+stderr.
+
+`compare` checks that the second stream is the first one in the same
+order with some solves left out, and tallies the left-out solves by the
+innermost `chains` function of their call path. It exits 1 when the
+second stream is not such a subsequence.
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+
+import argparse
+import ast
+import collections
+import hashlib
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+BUILDERS = {
+    "gurarij": ("chains", "build_gurarij_chain"),
+    "operator": ("universal", "build_universal_operator_chain"),
+    "poulsen": ("unital", "build_poulsen_chain"),
+    "state": ("universal", "build_universal_state_chain"),
+}
+
+
+def digest(c, a_ub, b_ub, a_eq, b_eq, maximize):
+    h = hashlib.sha256()
+    for arr in (c, a_ub, b_ub, a_eq, b_eq):
+        arr = np.asarray(arr, dtype=float) + 0.0
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    h.update(b"max" if maximize else b"min")
+    return h.hexdigest()
+
+
+def call_path():
+    """The fraisse functions on the stack, outermost first, without fraisse.lp."""
+    names = []
+    frame = sys._getframe(2)
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("fraisse.") and module != "fraisse.lp":
+            names.append(f"{module[len('fraisse.'):]}.{frame.f_code.co_qualname}")
+        frame = frame.f_back
+    return "/".join(reversed(names)) or "-"
+
+
+def spy(out):
+    """Wrap both solvers so that every solve writes its line to out."""
+    from fraisse import lp
+
+    def wrap(engine, solve):
+        def spied(c, a_ub, b_ub, a_eq, b_eq, maximize):
+            out.write(f"{engine} {digest(c, a_ub, b_ub, a_eq, b_eq, maximize)} {call_path()}\n")
+            return solve(c, a_ub, b_ub, a_eq, b_eq, maximize)
+
+        return spied
+
+    lp._solve_float = wrap("float", lp._solve_float)
+    lp._solve_exact = wrap("exact", lp._solve_exact)
+
+
+def run_build(name, kwargs, engine):
+    from fraisse import lp
+
+    module, func = BUILDERS[name]
+    build = getattr(importlib.import_module(f"fraisse.{module}"), func)
+    with lp.use_engine(engine):
+        artifact = build(**kwargs)
+    print(f"content hash {artifact.content_hash()}", file=sys.stderr)
+
+
+def run_bench(workload, seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    w = workloads.WORKLOADS[workload]
+    inputs = w.setup(seed)
+    rnd = workloads.Round()
+    w.run_round(inputs, rnd)
+    print(f"round digest {rnd.digest} attempted {rnd.attempted} failed {len(rnd.failures)}", file=sys.stderr)
+
+
+def pool_tag(path):
+    chain_fns = [p for p in path.split("/") if p.startswith("chains.")]
+    return (chain_fns[-1] if chain_fns else path.split("/")[-1]).split(".<locals>")[0]
+
+
+def compare(old_path, new_path):
+    old = Path(old_path).read_text().splitlines()
+    new = Path(new_path).read_text().splitlines()
+    dropped = collections.Counter()
+    i = 0
+    for line in new:
+        key = line.split()[:2]
+        while i < len(old) and old[i].split()[:2] != key:
+            dropped[pool_tag(old[i].split()[2])] += 1
+            i += 1
+        if i == len(old):
+            print(f"not a subsequence: {' '.join(key)} has no match in order")
+            return 1
+        i += 1
+    for line in old[i:]:
+        dropped[pool_tag(line.split()[2])] += 1
+    print(f"{len(new)} of {len(old)} solves kept in order; {sum(dropped.values())} left out")
+    for tag, count in dropped.most_common():
+        print(f"  {count:6d}  {tag}")
+    return 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="cmd", required=True)
+    b = sub.add_parser("build")
+    b.add_argument("name", choices=sorted(BUILDERS))
+    b.add_argument("kwargs", nargs="*", help="name=literal keyword arguments")
+    b.add_argument("--engine", choices=("float", "exact"), default=None)
+    r = sub.add_parser("bench")
+    r.add_argument("workload")
+    r.add_argument("--seed", type=int, required=True)
+    c = sub.add_parser("compare")
+    c.add_argument("old")
+    c.add_argument("new")
+    args = p.parse_args(argv)
+    if args.cmd == "compare":
+        return compare(args.old, args.new)
+    spy(sys.stdout)
+    if args.cmd == "build":
+        kwargs = {}
+        for item in args.kwargs:
+            key, _, value = item.partition("=")
+            kwargs[key] = ast.literal_eval(value)
+        run_build(args.name, kwargs, args.engine)
+    else:
+        run_bench(args.workload, args.seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,7 @@
 """Stage towers: nets, growth, certified extension, coupling, factorization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from fraisse.chains import (
     certify_extension,
     nuclearity_witness,
 )
+from fraisse.lp import use_engine
 from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
+
+# A build whose walk filters later sources in the middle of a step: its
+# folds and extensions reach linf^2 and a polytope2 source.
+RESUMPTION_HASH = "9012b1bd38530f92e201d6c5f9344e60d3e25983cb627e4da9a92396eac5af39"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +102,44 @@ def test_chain_determinism_and_roundtrip(small_chain):
     back = StageChain.from_json(small_chain.to_json())
     assert back.content_hash() == small_chain.content_hash()
     assert [s.dim for s in back.stages] == [s.dim for s in small_chain.stages]
+
+
+def _sources(chain):
+    return Counter(rec["source"]["label"] for rec in chain.records)
+
+
+def test_build_skips_faults_in_pools_it_never_reaches():
+    # a distortion LP of a pool this build never uses fails the residual
+    # check; only the pools the walk reaches may stop a build
+    chain = build_gurarij_chain(depth=5, dim_cap=12, net_resolution=0.25, seed=29)
+    assert chain.depth == 5
+    assert set(_sources(chain)) == {"linf^1"}
+
+
+def test_walk_resumes_into_later_sources_frozen():
+    chain = build_gurarij_chain(
+        depth=2, dim_cap=20, net_resolution=0.25, seed=3, extend_per_step=12
+    )
+    assert _sources(chain) == {"linf^1": 21, "linf^2": 9, "polytope2": 3}
+    assert chain.content_hash() == RESUMPTION_HASH
+
+
+def test_exact_build_filters_only_reached_pools(solves):
+    with use_engine("exact"):
+        chain = build_gurarij_chain(depth=1, dim_cap=2, seed=0)
+    assert chain.content_hash().startswith("1a79a3669eb9")
+    assert solves["float"] == 0
+    assert solves["exact"] <= 83
+
+
+def test_quota_met_at_a_source_boundary_filters_no_further(solves):
+    # the twelve extensions use up every linf^1 obligation; the walk must
+    # stop there, before it filters the other three sources' pools (about
+    # 5000 LPs, and not one obligation into a 1-dimensional stage)
+    chain = build_gurarij_chain(depth=1, dim_cap=1, seed=0, extend_per_step=12)
+    assert chain.content_hash().startswith("126fb3de987f")
+    assert _sources(chain) == {"linf^1": 12}
+    assert solves["float"] <= 100
 
 
 def test_certify_extension_and_certificate(small_chain):

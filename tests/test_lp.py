@@ -91,20 +91,6 @@ def test_use_engine_scope_precedence_and_restore(monkeypatch):
     assert current_engine() == "exact"
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Count the LPs each engine solves."""
-    counts = {"float": 0, "exact": 0}
-    for name in counts:
-
-        def spy(*args, _name=name, _orig=getattr(lp, f"_solve_{name}")):
-            counts[_name] += 1
-            return _orig(*args)
-
-        monkeypatch.setattr(lp, f"_solve_{name}", spy)
-    return counts
-
-
 def test_engine_scope_reaches_every_solve(solves, tmp_path):
     space = NormedSpace([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, -1.0]])
     with use_engine("exact"):

@@ -311,7 +311,8 @@ def _f_pool(source, stage, rng, net_resolution, net_cap):
 
     The canonical padded presentation isometry always joins when it fits.
     When the entry grid is small the certified-or-sampled net supplies the
-    rest; otherwise candidate rows are drawn exactly from the dual ball
+    rest, its members op-normed one at a time until the pool is full;
+    otherwise candidate rows are drawn exactly from the dual ball
     (signed simplex mixtures of presentation rows), which makes every
     candidate a contraction by construction and leaves one distortion LP
     per candidate as the only filter. The call takes the rng draws (the
@@ -338,13 +339,13 @@ def _f_pool(source, stage, rng, net_resolution, net_cap):
         candidates = drawn
         if drawn is None:
             net = build_morphism_net(source, stage, net_resolution, cap=net_cap, seed=net_seed)
-            candidates = [m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9]
+            candidates = (m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9)
         for cand in candidates:
-            if len(out) >= F_PER_PAIR + 1:
-                break
             dist = cand.distortion()
             if dist <= 0.45:
                 out.append((cand, dist))
+                if len(out) >= F_PER_PAIR + 1:
+                    break
         return out
 
     return pool

@@ -11,6 +11,12 @@ with the options, input checks and solution checks of
 `scipy.optimize.linprog(method="highs")` but without its per-call
 overhead, which dominates the tiny LPs of this library. On a scipy
 without those bindings it calls `linprog` itself, with the same answers.
+In front of HiGHS sits a closed form for separable LPs, those without
+equality rows whose every row bounds a single variable (the op_norm LPs
+over l-infinity balls): it gives HiGHS's point bit for bit and passes the
+same solution checks. Everything else falls through to HiGHS, as does
+every separable LP that is infeasible, unbounded, non-finite or near
+one of HiGHS's tolerances, so exceptions keep HiGHS's types.
 
 Engine selection, first match wins: the innermost `use_engine` scope,
 the FRAISSE_LP_ENGINE environment variable, then "float". A caller that
@@ -26,6 +32,7 @@ rows W.
 
 import contextlib
 import contextvars
+import math
 import os
 from fractions import Fraction
 
@@ -199,9 +206,12 @@ class LPBuilder:
 
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
-    sign = -1.0 if maximize else 1.0
-    run = _run_linprog if _highs is None else _run_highs
-    x, fun, y_ub, y_eq = run(sign * c, a_ub, b_ub, a_eq, b_eq)
+    cost = (-1.0 if maximize else 1.0) * c
+    if _highs is None:
+        x, fun, y_ub, y_eq = _run_linprog(cost, a_ub, b_ub, a_eq, b_eq)
+    else:
+        solved = _solve_separable(cost, a_ub, b_ub, a_eq, b_eq)
+        x, fun, y_ub, y_eq = solved or _run_highs(cost, a_ub, b_ub, a_eq, b_eq)
     _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
     value = float(c @ x)
     return LPResult(value, x, "float")
@@ -240,6 +250,78 @@ def _highs_options():
 
 
 _HIGHS_OPTIONS = None if _highs is None else _highs_options()
+
+# How far, in multiples of HiGHS's primal feasibility tolerance,
+# `_solve_separable` keeps from the cases HiGHS decides by tolerance.
+SEPARABLE_MARGIN = 10
+
+
+def _solve_separable(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize c.x in closed form when every row bounds a single variable.
+
+    Returns what `_run_highs` would, (x, fun, ub duals, eq duals), with x
+    bit for bit HiGHS's. Its presolve turns each row a x_j <= b into the
+    bound b / a, sets a column of negative cost to its upper bound, one of
+    positive cost to its lower bound and one of zero cost to the bound of
+    smaller magnitude (the lower one on a tie), and reports a zero as -0.0.
+    Each column's cost sits as the dual on one row that binds it.
+
+    Returns None, leaving the LP to HiGHS, when there is an equality row,
+    a row without exactly one nonzero, or an infinite or infeasible
+    optimum. It also leaves to HiGHS every LP that comes near a case
+    HiGHS settles by its tolerances or its processing order rather than
+    by this rule, with near = SEPARABLE_MARGIN times HiGHS's primal
+    feasibility tolerance:
+    - a coefficient of magnitude outside [near, 1 / near], or a
+      right-hand side, cost or bound above 1 / near (HiGHS drops tiny
+      coefficients, reads huge values as infinite, and checks rows in
+      absolute terms, where rounding in large activities shows);
+    - two bounds of a column within near of each other, in x or in the
+      activity of one of the column's rows (presolve keeps the one it
+      meets first);
+    - an optimal x_j other than zero within near of zero (HiGHS may
+      report it as zero).
+    """
+    m, n = a_ub.shape
+    if b_eq.size or not n or np.count_nonzero(a_ub) != m:
+        return None
+    rows, cols = np.nonzero(a_ub)
+    if rows.tolist() != list(range(m)):
+        return None
+    cost, cols, coefs = c.tolist(), cols.tolist(), a_ub[rows, cols].tolist()
+    near = SEPARABLE_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
+    if not all(abs(v) <= 1 / near for v in cost):
+        return None
+    hi, lo, scale, bounds = [math.inf] * n, [-math.inf] * n, [1.0] * n, []
+    for j, a, b in zip(cols, coefs, b_ub.tolist()):
+        if not (near <= abs(a) <= 1 / near and abs(b) <= 1 / near):
+            return None
+        q = b / a
+        if abs(q) > 1 / near:
+            return None
+        bounds.append(q)
+        if a > 0:
+            hi[j] = min(hi[j], q)
+        else:
+            lo[j] = max(lo[j], q)
+        scale[j] = min(scale[j], abs(a))
+    x = []
+    for cj, h, l, s in zip(cost, hi, lo, scale):
+        xj = h if cj < 0 else l if cj > 0 else h if abs(h) < abs(l) else l
+        if (h - l) * s <= near or 0 < abs(xj) * s <= near or not math.isfinite(xj):
+            return None
+        x.append(xj or -0.0)
+    y_ub = np.zeros(m)
+    unplaced = list(cost)  # each column's cost goes on the first row binding it
+    for r, (j, a, q) in enumerate(zip(cols, coefs, bounds)):
+        gap = abs(q - (hi[j] if a > 0 else lo[j]))
+        if 0 < gap * scale[j] <= near:
+            return None
+        if gap == 0 and unplaced[j] and (a > 0) == (unplaced[j] < 0):
+            y_ub[r] = unplaced[j] / a
+            unplaced[j] = 0.0
+    x = np.array(x)
+    return x, float(c @ x), y_ub, np.zeros(0)
 
 
 def _run_highs(c, a_ub, b_ub, a_eq, b_eq):

@@ -12,7 +12,8 @@ workload from `bench/workloads.py`. Both wrap `lp._solve_float` and
 the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
 that -0.0 reads as 0.0, and maximize) and the fraisse call path that
 asked for it. The artifact's content hash, or the round's digest, goes to
-stderr.
+stderr with the number of float solves that `lp._solve_separable` served
+in closed form.
 
 `compare` checks that the second stream is the first one in the same
 order with some solves left out, and tallies the left-out solves by the
@@ -63,31 +64,49 @@ def call_path():
 
 
 def spy(out):
-    """Wrap both solvers so that every solve writes its line to out."""
+    """Wrap both solvers so that every solve writes its line to out.
+
+    Returns a Counter of the solves of each engine and, under "closed
+    form", of the float solves that `lp._solve_separable` served.
+    """
     from fraisse import lp
+
+    solves = collections.Counter()
 
     def wrap(engine, solve):
         def spied(c, a_ub, b_ub, a_eq, b_eq, maximize):
             out.write(f"{engine} {digest(c, a_ub, b_ub, a_eq, b_eq, maximize)} {call_path()}\n")
+            solves[engine] += 1
             return solve(c, a_ub, b_ub, a_eq, b_eq, maximize)
 
         return spied
 
+    def closed_form(*args, _solve=lp._solve_separable):
+        solved = _solve(*args)
+        solves["closed form"] += solved is not None
+        return solved
+
     lp._solve_float = wrap("float", lp._solve_float)
     lp._solve_exact = wrap("exact", lp._solve_exact)
+    lp._solve_separable = closed_form
+    return solves
 
 
-def run_build(name, kwargs, engine):
+def served(solves):
+    return f"closed form served {solves['closed form']} of {solves['float']} float solves"
+
+
+def run_build(name, kwargs, engine, solves):
     from fraisse import lp
 
     module, func = BUILDERS[name]
     build = getattr(importlib.import_module(f"fraisse.{module}"), func)
     with lp.use_engine(engine):
         artifact = build(**kwargs)
-    print(f"content hash {artifact.content_hash()}", file=sys.stderr)
+    print(f"content hash {artifact.content_hash()}; {served(solves)}", file=sys.stderr)
 
 
-def run_bench(workload, seed):
+def run_bench(workload, seed, solves):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
@@ -95,7 +114,10 @@ def run_bench(workload, seed):
     inputs = w.setup(seed)
     rnd = workloads.Round()
     w.run_round(inputs, rnd)
-    print(f"round digest {rnd.digest} attempted {rnd.attempted} failed {len(rnd.failures)}", file=sys.stderr)
+    print(
+        f"round digest {rnd.digest} attempted {rnd.attempted} failed {len(rnd.failures)}; {served(solves)}",
+        file=sys.stderr,
+    )
 
 
 def pool_tag(path):
@@ -141,15 +163,15 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.cmd == "compare":
         return compare(args.old, args.new)
-    spy(sys.stdout)
+    solves = spy(sys.stdout)
     if args.cmd == "build":
         kwargs = {}
         for item in args.kwargs:
             key, _, value = item.partition("=")
             kwargs[key] = ast.literal_eval(value)
-        run_build(args.name, kwargs, args.engine)
+        run_build(args.name, kwargs, args.engine, solves)
     else:
-        run_bench(args.workload, args.seed)
+        run_bench(args.workload, args.seed, solves)
     return 0
 
 

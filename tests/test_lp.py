@@ -231,6 +231,8 @@ def _outcome(args):
 def test_direct_highs_matches_linprog(monkeypatch):
     if lp._highs is None:
         pytest.skip("this scipy has no HiGHS bindings, so linprog is the only path")
+    # both sides solver runs: the closed form would serve the separable LPs on both
+    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
     battery = list(_lp_battery(11))
     direct = [_outcome(args) for args in battery]
     monkeypatch.setattr(lp, "_highs", None)
@@ -239,3 +241,106 @@ def test_direct_highs_matches_linprog(monkeypatch):
         assert d == v, args
     kinds = {o if isinstance(o, type) else "solved" for o in direct}
     assert kinds == {"solved", LPInfeasible, LPUnbounded, ValueError}
+
+
+def _separable_battery(seed):
+    """Seeded (cost, a_ub, b_ub) to minimize, each row with one nonzero.
+
+    One-variable LPs and boxes, symmetric and not; unit, non-unit and
+    badly scaled coefficients; -0.0 entries; tied and nearly tied rows;
+    zero costs; and LPs that are infeasible, unbounded, non-finite or
+    have a row without a nonzero.
+    """
+    rng = np.random.default_rng(seed)
+
+    def lp_of(n, sides, near_tie):
+        rows, rhs = [], []
+        for j in range(n):
+            scale = 10.0 ** rng.uniform(-4, 4) if rng.random() < 0.3 else 1.0
+            for sign in sides:
+                a = sign * scale * rng.choice([1.0, rng.uniform(0.1, 10.0)])
+                b = rng.choice([1.0, 2.0, 0.0, -0.0, rng.uniform(-1.0, 3.0)])
+                for copy in range(int(rng.integers(1, 3))):
+                    row = np.full(n, rng.choice([0.0, -0.0]))
+                    row[j] = a
+                    rows.append(row)
+                    rhs.append(b * (1.0 + near_tie * copy))
+        order = rng.permutation(len(rhs))
+        return np.array(rows)[order], np.array(rhs)[order]
+
+    for _ in range(150):
+        n = int(rng.integers(1, 5))
+        cost = rng.normal(size=n) * rng.choice([1.0, 1e-13, 1e4], size=n)
+        cost[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+        near_tie = rng.choice([0.0, 0.0, 1e-12, 1e-9, 1e-8, 1e-6])
+        yield (cost, *lp_of(n, (1.0, -1.0), near_tie))
+        # one side only: bounded when the cost points at it (or is zero)
+        yield (cost, *lp_of(n, (rng.choice([1.0, -1.0]),), near_tie))
+    yield np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])  # infeasible
+    yield np.array([1.0, 0.0]), np.eye(2), np.ones(2)  # unbounded
+    yield np.array([0.0]), np.array([[1.0], [0.0]]), np.array([1.0, 1.0])  # a row without a nonzero
+    yield np.array([0.0]), np.array([[1.0], [-0.0]]), np.array([1.0, -1.0])  # ... infeasible
+    yield np.array([np.nan]), np.array([[1.0], [-1.0]]), np.ones(2)
+    yield np.array([1.0]), np.array([[1.0], [-np.inf]]), np.ones(2)
+    yield np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, np.inf])
+    yield np.array([-1.0]), np.array([[1e-12], [-1.0]]), np.ones(2)  # HiGHS drops 1e-12
+    # HiGHS reports x = 1e-20 as -0.0, and fixes this column at its lower bound
+    yield np.array([-1.0]), np.array([[1.0], [-1.0]]), np.array([1e-20, 1.0])
+    b = np.array([0.0, 2.8131098533270517e-05, 0.0])
+    yield np.array([0.0]), np.array([[1.0], [-828.0], [1.0]]), b
+
+
+def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
+    if lp._highs is None:
+        pytest.skip("the closed form stands in for the HiGHS bindings, which this scipy lacks")
+    battery = list(_separable_battery(5))
+    served = 0
+    for cost, a_ub, b_ub in battery:
+        none = np.zeros((0, cost.shape[0])), np.zeros(0)
+        closed = lp._solve_separable(cost, a_ub, b_ub, *none)
+        if closed is not None:
+            served += 1
+            highs = lp._run_highs(cost, a_ub, b_ub, *none)[0]
+            assert closed[0].tobytes() == highs.tobytes(), (cost, a_ub, b_ub, closed[0], highs)
+    assert served >= 50  # exercised, not only bypassed (89 of 308 at seed 5)
+    # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
+    args = [(cost, a_ub, b_ub, None, None, False) for cost, a_ub, b_ub in battery]
+    with_closed_form = [_outcome(a) for a in args]
+    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
+    for a, mine, highs in zip(args, with_closed_form, [_outcome(a) for a in args]):
+        assert mine == highs, a
+    kinds = {o if isinstance(o, type) else "solved" for o in with_closed_form}
+    assert kinds == {"solved", LPError, LPInfeasible, LPUnbounded, ValueError}
+
+
+def test_closed_form_leaves_equality_rows_and_near_ties_to_highs():
+    if lp._highs is None:
+        pytest.skip("the closed form stands in for the HiGHS bindings, which this scipy lacks")
+    box, ones, none = np.array([[1.0], [-1.0]]), np.ones(2), (np.zeros((0, 1)), np.zeros(0))
+    assert lp._solve_separable(np.array([-1.0]), box, ones, *none) is not None
+    assert lp._solve_separable(np.array([-1.0]), box, ones, np.ones((1, 1)), np.ones(1)) is None
+    # x <= 1 then x <= 1 - 1e-9: HiGHS keeps the first bound it meets, not the tighter one
+    near = np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, 1.0 - 1e-9, 1.0])
+    assert lp._run_highs(np.array([-1.0]), *near, *none)[0].tolist() == [1.0]
+    assert lp._solve_separable(np.array([-1.0]), *near, *none) is None
+
+
+def test_linf1_op_norm_never_calls_highs(monkeypatch):
+    calls = []
+    run_highs = lp._run_highs
+    monkeypatch.setattr(lp, "_run_highs", lambda *args: calls.append(1) or run_highs(*args))
+    m = np.random.default_rng(0).normal(size=(12, 1))
+    assert LinearMap(LinfSpace(1), LinfSpace(12), m).op_norm() == np.max(np.abs(m))
+    assert calls == []
+
+
+def test_closed_form_answers_are_still_checked(monkeypatch):
+    solve = lp._solve_separable
+
+    def off(*args):
+        x, fun, y_ub, y_eq = solve(*args)
+        return x + 1e-6, fun, y_ub, y_eq
+
+    monkeypatch.setattr(lp, "_solve_separable", off)
+    with pytest.raises(LPError, match="inequality residual"):
+        solve_lp(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]), b_ub=np.ones(2))

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from fraisse.amalgam import ArrowMorphism, ArrowObject, arrow_pushout, nap_amalgamate
-from fraisse.certify import parse_real, verify_certificate
+from fraisse.certify import content_hash, parse_real, verify_certificate
 from fraisse.chains import back_and_forth, build_gurarij_chain
 from fraisse.lp import solve_lp, use_engine
 from fraisse.spaces import (
@@ -52,6 +52,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 GURARIJ_HASH = "37cd40c69af7c01732cd2435672b71962e8be8b979203b281c4d11d6193027cc"
 OPERATOR_HASH = "a64dc5521edc55b379c3cb422c62c8ae2d5086c60a05bddcd06c9c8d5c0576e3"
 SURJECTIVITY = [0.365107, 0.273741, 0.235097, 0.235097]
+MATRIX_CERT_HASH = "5187684c579876e19925d4ed654fbae5fd8c5e4d78cf6dd25de23b97407486f0"
 
 
 def _report(sink, num, ok, msg):
@@ -271,14 +272,15 @@ def test_criterion_07_matrix_minimality(criterion_report):
     defect = res.certificate.measured
     ok_defect = defect <= 16.0 / ell
     faithful, _ = verify_certificate(res.certificate)
+    frozen = content_hash(res.certificate.to_json()) == MATRIX_CERT_HASH
     elapsed = time.time() - t0
-    ok = ok_norm and ok_trace and ok_defect and faithful and elapsed < 60.0
+    ok = ok_norm and ok_trace and ok_defect and faithful and frozen and elapsed < 60.0
     _report(criterion_report, 7, ok, f"matrix state pullback: k={k} blocks, light block norm "
         f"{res.block_norm:.4f} and trace {res.block_trace:.4f} <= {8.0/ell}, "
         f"sampled defect {defect:.4f} <= {16.0/ell}, certificate faithful "
-        f"{faithful}, {elapsed:.0f}s")
+        f"{faithful}, frozen hash match {frozen}, {elapsed:.0f}s")
     assert ok_norm and ok_trace and ok_defect
-    assert faithful
+    assert faithful and frozen
     assert elapsed < 60.0
 
 

@@ -1,9 +1,13 @@
-"""Static checks on the package source: no dead imports, no dead private helpers."""
+"""Static checks on the package source: no dead imports, no dead private helpers,
+and no benchmark tracer entry point that has gone missing."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fraisse"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fraisse"
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _modules():
@@ -64,3 +68,27 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, f"private functions nothing in src/ references: {dead}"
+
+
+def _tracer_entry_points():
+    """The ENTRY_POINTS literal of the benchmark tracer, read without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no ENTRY_POINTS")
+
+
+def test_tracer_entry_points_resolve():
+    # a renamed or inlined entry point would leave its per-layer metric at zero
+    missing = []
+    for layer, names in _tracer_entry_points().items():
+        mod = importlib.import_module(f"fraisse.{layer}")
+        for qualname in names:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(mod, owner_name, None) if owner_name else mod
+            # the tracer wraps a method where its class defines it
+            found = vars(owner).get(attr) if owner is not None else None
+            if not callable(found):
+                missing.append(f"{layer}.{qualname}")
+    assert not missing, f"tracer entry points not defined in fraisse: {missing}"

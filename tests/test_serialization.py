@@ -221,6 +221,28 @@ def test_cli_matrix_minimality_small(tmp_path, capsys):
     assert "faithful True" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_matrix_minimality_rejects_empty_samples(samples, capsys):
+    rc = main(["matrix-minimality", "--eps", "8.0", "--seed", "0", "--samples", samples])
+    assert rc == 2
+    assert "at least one sample" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_sampled_certificate_without_samples(tmp_path, capsys):
+    rc = main(["matrix-minimality", "--eps", "8.0", "--seed", "0", "--samples", "100", "--out", str(tmp_path)])
+    assert rc == 0
+    path = next(tmp_path.glob("matrix-cert-*.json"))
+    data = json.loads(path.read_text())
+    # a consistent forgery: no samples, a zero sup, and no stale inputs hash
+    data["inputs"]["samples"] = 0
+    data["measured"] = fmt_real(0.0)
+    del data["inputs_hash"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "at least one sample" in capsys.readouterr().err
+
+
 def test_cli_matrix_minimality_unimplemented_dimension():
     rc = main(["matrix-minimality", "--d", "3", "--eps", "8.0", "--seed", "0"])
     assert rc == 2

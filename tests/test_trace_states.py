@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from fraisse.certify import verify_certificate
+from fraisse import trace_states
+from fraisse.certify import Certificate, verify_certificate
 from fraisse.trace_states import (
+    SAMPLE_BATCH,
     DensityMatrix,
     MatrixState,
     block_compress,
@@ -75,6 +77,29 @@ def test_block_compress_properties():
         block_compress(rho, 3)
 
 
+def _diagonal_blocks(diag):
+    return np.diag(np.asarray(diag, dtype=complex))
+
+
+def test_block_compress_names_the_first_bad_block():
+    # 2 x 2 blocks with negative entries in blocks 3 and 5; traces sum to one
+    diag = [0.0625] * 16
+    diag[0], diag[1] = 0.0, 0.0
+    diag[6], diag[7] = 0.3, -0.05
+    diag[10], diag[11] = 0.2, -0.075
+    with pytest.raises(ValueError, match=r"block 3 is not positive semidefinite: -5\.000e-02"):
+        block_compress(_diagonal_blocks(diag), 2)
+
+
+def test_block_compress_checks_the_trace_total():
+    diag = [0.125] * 8
+    diag[0] += 2e-9
+    with pytest.raises(ValueError, match="block traces sum to"):
+        block_compress(_diagonal_blocks(diag), 2)
+    diag[0] -= 1.5e-9
+    assert len(block_compress(_diagonal_blocks(diag), 2)) == 4
+
+
 def test_projector_family():
     fam = projector_family(2)
     assert len(fam) == 12
@@ -116,8 +141,11 @@ def test_find_light_block_skips_heavy_blocks():
     for i in range(6, n):
         heavy[i, i] = rest
     rho = DensityMatrix(heavy)
-    j, _ = find_light_block(rho, 2, ell)
-    assert j >= 3
+    j, block = find_light_block(rho, 2, ell)
+    # the first block past the heavy ones, returned as the density's own slice
+    assert j == 3
+    assert np.array_equal(block, rho.matrix[6:8, 6:8])
+    assert block[0, 0] == rest and block[1, 1] == rest
 
 
 def test_pullback_defect_depends_only_on_block():
@@ -179,3 +207,69 @@ def test_embedding_structural_properties():
     )
     with pytest.raises(ValueError, match="argument must be"):
         emb.apply(np.eye(3, dtype=complex))
+
+
+def _looped_defect(block, t_state, seed, samples):
+    """The sampled defect by its definition: one seeded sample at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = random_hermitian_unit(block.shape[0], rng)
+        worst = max(worst, abs(pullback_defect(block, t_state, x)))
+    return worst
+
+
+def _defect_certificate(block, t_state, seed, samples, measured):
+    inputs = {
+        "block": complex_matrix_to_json(block),
+        "t": complex_matrix_to_json(t_state.density.matrix),
+        "seed": seed,
+        "samples": samples,
+    }
+    return Certificate("matrix_state_defect", inputs, 1.0, measured)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sampled_defect_equals_the_per_sample_loop(seed):
+    # sample counts on both sides of a batch boundary, and the default
+    counts = [1, SAMPLE_BATCH - 1, SAMPLE_BATCH, SAMPLE_BATCH + 1, 1000]
+    rng = np.random.default_rng(200 + seed)
+    ell = 2
+    s = MatrixState(random_density(2 * (ell * len(projector_family(2)) + 1), rng))
+    t2 = MatrixState(random_density(2, rng))
+    # no projector family for d = 3, so its block goes through the recheck
+    t3 = MatrixState(random_density(3, rng))
+    block3 = random_density(3, rng).matrix / 10.0
+    for samples in counts:
+        res = minimal_embedding(s, t2, ell=ell, seed=seed, samples=samples)
+        loop = _looped_defect(res.block, t2, seed, samples)
+        assert res.certificate.measured == loop
+        assert verify_certificate(res.certificate)[1] == loop
+        loop3 = _looped_defect(block3, t3, seed, samples)
+        assert verify_certificate(_defect_certificate(block3, t3, seed, samples, loop3)) == (True, loop3)
+
+
+def test_sampled_defect_batches_continue_one_stream(monkeypatch):
+    # with tiny batches every later batch must pick up the stream where the
+    # previous one stopped, and the last, partial batch must count
+    monkeypatch.setattr(trace_states, "SAMPLE_BATCH", 3)
+    rng = np.random.default_rng(113)
+    for d in (2, 3):
+        t = MatrixState(random_density(d, rng))
+        block = random_density(d, rng).matrix / 10.0
+        for samples in (1, 2, 3, 4, 5, 6, 7, 100):
+            loop = _looped_defect(block, t, samples, samples)
+            assert verify_certificate(_defect_certificate(block, t, samples, samples, loop)) == (True, loop)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_defect_needs_samples(samples):
+    rng = np.random.default_rng(109)
+    s = MatrixState(random_density(2 * 25, rng))
+    t = MatrixState(random_density(2, rng))
+    with pytest.raises(ValueError, match="at least one sample"):
+        minimal_embedding(s, t, ell=2, samples=samples)
+    # a certificate claiming a sup over no samples does not recheck to 0
+    cert = _defect_certificate(0.01 * np.eye(2), t, 0, samples, 0.0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_certificate(cert)

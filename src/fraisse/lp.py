@@ -6,17 +6,18 @@ and an exact rational simplex over Fractions for small instances where
 the certificate must be arithmetic-exact.
 
 The float engine calls the dual simplex of the HiGHS build bundled with
-scipy directly through its bindings (`scipy.optimize._highspy._core`),
-with the options, input checks and solution checks of
-`scipy.optimize.linprog(method="highs")` but without its per-call
-overhead, which dominates the tiny LPs of this library. On a scipy
-without those bindings it calls `linprog` itself, with the same answers.
-In front of HiGHS sits a closed form for separable LPs, those without
-equality rows whose every row bounds a single variable (the op_norm LPs
-over l-infinity balls): it gives HiGHS's point bit for bit and passes the
-same solution checks. Everything else falls through to HiGHS, as does
-every separable LP that is infeasible, unbounded, non-finite or near
-one of HiGHS's tolerances, so exceptions keep HiGHS's types.
+scipy (1.15 and later) directly through its bindings
+(`scipy.optimize._highspy._core`), with the options, input checks and
+solution checks of `scipy.optimize.linprog(method="highs")` but without
+its per-call overhead, which dominates the tiny LPs of this library.
+Each thread keeps one HiGHS instance, given the options once, and hands
+it one model per solve. In front of HiGHS sits a closed form for
+separable LPs, those without equality rows whose every row bounds a
+single variable (the op_norm LPs over l-infinity balls): it gives
+HiGHS's point bit for bit and passes the same solution checks.
+Everything else falls through to HiGHS, as does every separable LP that
+is infeasible, unbounded, non-finite or near one of HiGHS's tolerances,
+so exceptions keep HiGHS's types.
 
 Engine selection, first match wins: the innermost `use_engine` scope,
 the FRAISSE_LP_ENGINE environment variable, then "float". A caller that
@@ -34,15 +35,11 @@ import contextlib
 import contextvars
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # older scipy: every float solve goes through linprog
-    _highs = None
+from scipy.optimize._highspy import _core as _highs
 
 ENGINE_ENV_VAR = "FRAISSE_LP_ENGINE"
 RESIDUAL_TOL = 1e-9
@@ -207,35 +204,11 @@ class LPBuilder:
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
     cost = (-1.0 if maximize else 1.0) * c
-    if _highs is None:
-        x, fun, y_ub, y_eq = _run_linprog(cost, a_ub, b_ub, a_eq, b_eq)
-    else:
-        solved = _solve_separable(cost, a_ub, b_ub, a_eq, b_eq)
-        x, fun, y_ub, y_eq = solved or _run_highs(cost, a_ub, b_ub, a_eq, b_eq)
+    solved = _solve_separable(cost, a_ub, b_ub, a_eq, b_eq)
+    x, fun, y_ub, y_eq = solved or _run_highs(cost, a_ub, b_ub, a_eq, b_eq)
     _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
     value = float(c @ x)
     return LPResult(value, x, "float")
-
-
-def _run_linprog(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c.x over free x with linprog; (x, fun, ub duals, eq duals)."""
-    res = linprog(
-        c,
-        A_ub=a_ub if a_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=a_eq if a_eq.size else None,
-        b_eq=b_eq if b_eq.size else None,
-        bounds=(None, None),
-        method="highs",
-    )
-    if res.status == 2:
-        raise LPInfeasible("LP infeasible")
-    if res.status == 3:
-        raise LPUnbounded("LP unbounded")
-    if res.status != 0:
-        raise LPError(f"LP solver failed with status {res.status}: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    return x, res.fun, res.ineqlin.marginals, res.eqlin.marginals
 
 
 def _highs_options():
@@ -249,7 +222,21 @@ def _highs_options():
     return options
 
 
-_HIGHS_OPTIONS = None if _highs is None else _highs_options()
+_HIGHS_OPTIONS = _highs_options()
+_THREAD = threading.local()
+
+
+def _thread_highs():
+    """This thread's HiGHS instance, made and given the options on first use.
+
+    One per thread, because an instance holds one model at a time.
+    """
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
 
 # How far, in multiples of HiGHS's primal feasibility tolerance,
 # `_solve_separable` keeps from the cases HiGHS decides by tolerance.
@@ -329,8 +316,8 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
 
     Same checks, same order, same exception types: linprog's input
     checks (ValueError), its map from HiGHS model status to error, and
-    its _check_result. Each solve gets a fresh HiGHS instance, because a
-    warm start may stop at a different optimal vertex.
+    its _check_result. The thread's one HiGHS instance solves it;
+    `passModel` drops the previous model with its basis and solution.
     """
     if c.size == 0:
         raise ValueError("LP has no variables")
@@ -358,8 +345,7 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     matrix.index_ = rows
     matrix.value_ = a.T[cols, rows]
 
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _thread_highs()
     if highs.passModel(model) == _highs.HighsStatus.kError:
         # linprog reports a model HiGHS rejects as infeasible (status 2)
         raise LPInfeasible("LP rejected by HiGHS")

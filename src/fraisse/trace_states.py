@@ -260,6 +260,8 @@ def _sampled_defect(block, t_state, seed, samples):
     if samples < 1:
         raise ValueError(f"the sampled defect needs at least one sample, got {samples}")
     b = _as_complex(block)
+    if not np.isfinite(b).all():
+        raise ValueError("the light block must be finite")  # a NaN defect would lose every max
     d = b.shape[0]
     tr_b = float(np.trace(b).real)
     rng = np.random.default_rng(seed)

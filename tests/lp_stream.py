@@ -10,14 +10,17 @@ with keyword arguments given as `name=literal`; `--engine exact` opens
 workload from `bench/workloads.py`. Both wrap `lp._solve_float` and
 `lp._solve_exact` and print one line per solve: the engine, a sha256 of
 the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
-that -0.0 reads as 0.0, and maximize) and the fraisse call path that
-asked for it. The artifact's content hash, or the round's digest, goes to
-stderr with the number of float solves that `lp._solve_separable` served
-in closed form.
+that -0.0 reads as 0.0, and maximize), a sha256 of the outcome (the
+value and `x.tobytes()`, or the name of the exception raised) and the
+fraisse call path that asked for it. The artifact's content hash, or the
+round's digest, goes to stderr with the number of float solves that
+`lp._solve_separable` served in closed form.
 
 `compare` checks that the second stream is the first one in the same
-order with some solves left out, and tallies the left-out solves by the
-innermost `chains` function of their call path. It exits 1 when the
+order with some solves left out, matching each solve on its engine, its
+input digest and its outcome digest, so every kept solve is shown to
+give the same answer bit for bit. It tallies the left-out solves by the
+innermost `chains` function of their call path, and exits 1 when the
 second stream is not such a subsequence.
 
 pytest does not collect this file: its name does not start with `test_`.
@@ -74,10 +77,19 @@ def spy(out):
     solves = collections.Counter()
 
     def wrap(engine, solve):
-        def spied(c, a_ub, b_ub, a_eq, b_eq, maximize):
-            out.write(f"{engine} {digest(c, a_ub, b_ub, a_eq, b_eq, maximize)} {call_path()}\n")
-            solves[engine] += 1
-            return solve(c, a_ub, b_ub, a_eq, b_eq, maximize)
+        def spied(*args):
+            result = hashlib.sha256()
+            try:
+                res = solve(*args)
+            except Exception as exc:
+                result.update(type(exc).__name__.encode())
+                raise
+            else:
+                result.update(np.float64(res.value).tobytes() + np.asarray(res.x, dtype=float).tobytes())
+                return res
+            finally:
+                out.write(f"{engine} {digest(*args)} {result.hexdigest()} {call_path()}\n")
+                solves[engine] += 1
 
         return spied
 
@@ -131,16 +143,16 @@ def compare(old_path, new_path):
     dropped = collections.Counter()
     i = 0
     for line in new:
-        key = line.split()[:2]
-        while i < len(old) and old[i].split()[:2] != key:
-            dropped[pool_tag(old[i].split()[2])] += 1
+        key = line.split()[:3]
+        while i < len(old) and old[i].split()[:3] != key:
+            dropped[pool_tag(old[i].split()[3])] += 1
             i += 1
         if i == len(old):
             print(f"not a subsequence: {' '.join(key)} has no match in order")
             return 1
         i += 1
     for line in old[i:]:
-        dropped[pool_tag(line.split()[2])] += 1
+        dropped[pool_tag(line.split()[3])] += 1
     print(f"{len(new)} of {len(old)} solves kept in order; {sum(dropped.values())} left out")
     for tag, count in dropped.most_common():
         print(f"  {count:6d}  {tag}")

@@ -1,5 +1,10 @@
 """The two LP engines against each other and against closed forms."""
 
+import hashlib
+import json
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,8 @@ from fraisse.lp import (
 )
 from fraisse.spaces import LinearMap, LinfSpace, NormedSpace
 from fraisse.universal import prune_redundant_rows
+
+LINPROG_OUTCOMES = Path(__file__).parent / "data" / "linprog_lp_battery_11.json"
 
 
 def test_box_maximum_closed_form():
@@ -228,17 +235,33 @@ def _outcome(args):
     return res.value, res.x.tobytes()
 
 
+def _battery_digest(battery):
+    h = hashlib.sha256()
+    for *arrays, maximize in battery:
+        for arr in arrays:
+            arr = np.zeros(0) if arr is None else np.asarray(arr, dtype=float)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        h.update(b"max" if maximize else b"min")
+    return h.hexdigest()
+
+
+def _thawed(frozen):
+    if "raises" in frozen:
+        return {"LPInfeasible": LPInfeasible, "LPUnbounded": LPUnbounded, "ValueError": ValueError}[frozen["raises"]]
+    return float.fromhex(frozen["value"]), np.array([float.fromhex(v) for v in frozen["x"]]).tobytes()
+
+
 def test_direct_highs_matches_linprog(monkeypatch):
-    if lp._highs is None:
-        pytest.skip("this scipy has no HiGHS bindings, so linprog is the only path")
-    # both sides solver runs: the closed form would serve the separable LPs on both
-    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
+    # linprog(method="highs")'s outcomes, frozen while the float engine could still call it
+    frozen = json.loads(LINPROG_OUTCOMES.read_text())
     battery = list(_lp_battery(11))
+    assert _battery_digest(battery) == frozen["battery_sha256"]
+    # the solver runs: the closed form would serve the separable LPs
+    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
     direct = [_outcome(args) for args in battery]
-    monkeypatch.setattr(lp, "_highs", None)
-    via_linprog = [_outcome(args) for args in battery]
-    for args, d, v in zip(battery, direct, via_linprog):
-        assert d == v, args
+    for args, d, v in zip(battery, direct, frozen["outcomes"], strict=True):
+        assert d == _thawed(v), args
     kinds = {o if isinstance(o, type) else "solved" for o in direct}
     assert kinds == {"solved", LPInfeasible, LPUnbounded, ValueError}
 
@@ -291,8 +314,6 @@ def _separable_battery(seed):
 
 
 def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
-    if lp._highs is None:
-        pytest.skip("the closed form stands in for the HiGHS bindings, which this scipy lacks")
     battery = list(_separable_battery(5))
     served = 0
     for cost, a_ub, b_ub in battery:
@@ -314,8 +335,6 @@ def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
 
 
 def test_closed_form_leaves_equality_rows_and_near_ties_to_highs():
-    if lp._highs is None:
-        pytest.skip("the closed form stands in for the HiGHS bindings, which this scipy lacks")
     box, ones, none = np.array([[1.0], [-1.0]]), np.ones(2), (np.zeros((0, 1)), np.zeros(0))
     assert lp._solve_separable(np.array([-1.0]), box, ones, *none) is not None
     assert lp._solve_separable(np.array([-1.0]), box, ones, np.ones((1, 1)), np.ones(1)) is None
@@ -344,3 +363,71 @@ def test_closed_form_answers_are_still_checked(monkeypatch):
     monkeypatch.setattr(lp, "_solve_separable", off)
     with pytest.raises(LPError, match="inequality residual"):
         solve_lp(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]), b_ub=np.ones(2))
+
+
+def _highs_battery():
+    """Both batteries as `_run_highs` takes them, plus a model HiGHS rejects and one it cannot settle."""
+    lps = [((-1.0 if maximize else 1.0) * c, *rows) for c, *rows, maximize in _lp_battery(11)]
+    lps += [(cost, a_ub, b_ub, None, None) for cost, a_ub, b_ub in _separable_battery(5)]
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    lps.append((np.ones(2), np.vstack([[1e16, 1.0], box]), np.ones(5), None, None))
+    lps.append((np.array([1e25, 1.0]), box, np.ones(4), None, None))
+    out = []
+    for c, a_ub, b_ub, a_eq, b_eq in lps:
+        n = c.shape[0]
+        out.append((c, *lp._normalize_block(a_ub, b_ub, n), *lp._normalize_block(a_eq, b_eq, n)))
+    return out
+
+
+def _highs_outcome(args):
+    try:
+        x, fun, y_ub, y_eq = lp._run_highs(*args)
+    except (LPError, ValueError) as exc:
+        return type(exc)
+    return x.tobytes(), np.float64(fun).tobytes(), y_ub.tobytes(), y_eq.tobytes()
+
+
+def test_reused_instance_answers_as_a_fresh_one():
+    battery = _highs_battery()
+    fresh = []
+    for args in battery:
+        vars(lp._THREAD).clear()  # the next solve makes a new HiGHS instance
+        fresh.append(_highs_outcome(args))
+    kinds = {o if isinstance(o, type) else "solved" for o in fresh}
+    assert kinds == {"solved", LPError, LPInfeasible, LPUnbounded, ValueError}
+    assert fresh[-2] is LPInfeasible  # rejected by passModel
+    # shuffled, so every kind of outcome runs after every other on one instance
+    for seed in range(4):
+        for i in np.random.default_rng(seed).permutation(len(battery)):
+            assert _highs_outcome(battery[i]) == fresh[i], (seed, i)
+
+
+def test_threads_solve_on_their_own_instance(monkeypatch):
+    monkeypatch.delenv("FRAISSE_LP_ENGINE", raising=False)
+    battery = _highs_battery()
+    serial = [_highs_outcome(args) for args in battery]
+    both_in_scope = threading.Barrier(2, timeout=60)
+    results, errors = {}, []
+    one_var = np.array([1.0]), np.array([[1.0], [-1.0]]), np.ones(2)
+
+    def work(engine):
+        try:
+            with use_engine(engine):
+                both_in_scope.wait()
+                solved_on = solve_lp(*one_var).engine
+                outcomes = [_highs_outcome(args) for args in battery]
+                both_in_scope.wait()
+            results[engine] = lp._thread_highs(), solved_on, outcomes
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(engine,)) for engine in ("exact", None)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    (mine, exact_on, exact_outcomes), (theirs, float_on, float_outcomes) = results["exact"], results[None]
+    assert mine is not theirs and lp._thread_highs() not in (mine, theirs)
+    assert (exact_on, float_on) == ("exact", "float")
+    assert exact_outcomes == serial and float_outcomes == serial

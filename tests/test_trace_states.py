@@ -1,10 +1,13 @@
 """Matrix states, block lightness, and the diagonal embedding."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fraisse import trace_states
 from fraisse.certify import Certificate, verify_certificate
+from fraisse.cli import main
 from fraisse.trace_states import (
     SAMPLE_BATCH,
     DensityMatrix,
@@ -273,3 +276,21 @@ def test_sampled_defect_needs_samples(samples):
     cert = _defect_certificate(0.01 * np.eye(2), t, 0, samples, 0.0)
     with pytest.raises(ValueError, match="at least one sample"):
         verify_certificate(cert)
+
+
+def test_verify_rejects_a_non_finite_block(tmp_path, capsys):
+    rng = np.random.default_rng(127)
+    t = MatrixState(random_density(2, rng))
+    block = random_density(2, rng).matrix / 10.0
+    path = tmp_path / "defect.json"
+    _defect_certificate(block, t, 0, 100, _looped_defect(block, t, 0, 100)).write(path)
+    assert main(["verify", str(path)]) == 0
+    # a tampered block whose defects come out NaN must not recheck as 0
+    cert = json.loads(path.read_text())
+    cert["inputs"]["block"]["re"][0][0] = "nan"
+    cert["measured"] = "0"
+    del cert["inputs_hash"]
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err

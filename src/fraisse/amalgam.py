@@ -36,17 +36,16 @@ def joint_embed(x, y):
 
 
 class AmalgamResult:
-    def __init__(self, z, i, j, defect, delta, modulus):
+    def __init__(self, z, i, j, defect, delta):
         self.z = z
         self.i = i
         self.j = j
         self.defect = defect
         self.delta = delta
-        self.modulus = modulus
 
     @property
     def bound(self):
-        return self.modulus(self.delta)
+        return BANACH(self.delta)
 
     def certificate(self, f_x, f_y):
         inputs = {
@@ -55,7 +54,7 @@ class AmalgamResult:
             "i": map_to_json(self.i),
             "j": map_to_json(self.j),
             "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(self.modulus),
+            "modulus": modulus_to_json(BANACH),
         }
         return Certificate("nap_defect", inputs, self.bound, self.defect, tol=1e-7)
 
@@ -69,14 +68,14 @@ def _recheck_nap(inputs):
     return map_dist(i @ f_x, j @ f_y)
 
 
-def nap_amalgamate(f_x, f_y, delta=None, modulus=BANACH):
+def nap_amalgamate(f_x, f_y, delta=None):
     """Amalgamate two almost-embeddings of E into injective targets.
 
     f_x: E -> X, f_y: E -> Y with distortion <= delta, X and Y identity
     normed. Z is the sup-product X (+) Y; the first leg keeps X and smears
     it into Y by an extension of f_y along f_x, the second symmetrically,
     so both legs are exact isometries and the reconciliation defect is at
-    most modulus(delta).
+    most BANACH(delta) = delta.
     """
     if f_x.dom.dim != f_y.dom.dim:
         raise ValueError("the two almost-embeddings must share their domain")
@@ -86,14 +85,14 @@ def nap_amalgamate(f_x, f_y, delta=None, modulus=BANACH):
         delta = max(f_x.distortion(), f_y.distortion())
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
-    h_x = extend_morphism(f_x, f_y, delta=delta, modulus=modulus, check=False)
-    h_y = extend_morphism(f_y, f_x, delta=delta, modulus=modulus, check=False)
+    h_x = extend_morphism(f_x, f_y, delta=delta, check=False)
+    h_y = extend_morphism(f_y, f_x, delta=delta, check=False)
     nx, ny = f_x.cod.dim, f_y.cod.dim
     z = LinfSpace(nx + ny)
     i = LinearMap(f_x.cod, z, np.vstack([np.eye(nx), h_x.matrix]))
     j = LinearMap(f_y.cod, z, np.vstack([h_y.matrix, np.eye(ny)]))
     defect = map_dist(i @ f_x, j @ f_y)
-    return AmalgamResult(z, i, j, defect, delta, modulus)
+    return AmalgamResult(z, i, j, defect, delta)
 
 
 class PushoutResult:
@@ -137,14 +136,14 @@ def _recheck_pushout(inputs):
     return map_dist(fhat @ phi, j @ f)
 
 
-def _independent_columns(cols, tol=SPAN_TOL):
+def _independent_columns(cols):
     """Greedy deterministic pick of a well-conditioned spanning subset."""
     picked = []
     idx = []
     for k, col in enumerate(cols.T):
         trial = picked + [col]
         sv = np.linalg.svd(np.column_stack(trial), compute_uv=False)
-        if sv[-1] > tol * max(1.0, sv[0]):
+        if sv[-1] > SPAN_TOL * max(1.0, sv[0]):
             picked = trial
             idx.append(k)
     return np.column_stack(picked), idx
@@ -253,7 +252,7 @@ class ArrowMorphism:
 
 
 class ArrowPushoutResult:
-    def __init__(self, shat, fhat, j, d0, d1, defect, delta, modulus):
+    def __init__(self, shat, fhat, j, d0, d1, defect, delta):
         self.shat = shat
         self.fhat = fhat
         self.j = j
@@ -261,11 +260,10 @@ class ArrowPushoutResult:
         self.d1 = d1
         self.defect = defect
         self.delta = delta
-        self.modulus = modulus
 
     @property
     def bound(self):
-        return self.modulus(self.delta) + 2.0 * self.delta
+        return BANACH(self.delta) + 2.0 * self.delta
 
     def certificate(self, phi, f):
         inputs = {
@@ -281,7 +279,7 @@ class ArrowPushoutResult:
             "j0": map_to_json(self.j.a0),
             "j1": map_to_json(self.j.a1),
             "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(self.modulus),
+            "modulus": modulus_to_json(BANACH),
         }
         return Certificate("arrow_pushout_defect", inputs, self.bound, self.defect, tol=1e-7)
 
@@ -299,7 +297,7 @@ def _recheck_arrow(inputs):
     return max(d0, d1)
 
 
-def arrow_pushout(phi, f, delta=None, modulus=BANACH):
+def arrow_pushout(phi, f, delta=None):
     """Amalgamate the arrows phi.dst and f.dst over their common source arrow.
 
     phi: T -> That with arrow distortion <= delta, f: T -> S an exact
@@ -309,7 +307,7 @@ def arrow_pushout(phi, f, delta=None, modulus=BANACH):
     off gives the connecting contraction Shat with
     Shat fhat0 = fhat1 That and Shat j0 = j1 S exactly. The measured
     defect is the worse of the two squares, bounded by
-    modulus(delta) + 2 delta.
+    BANACH(delta) + 2 delta.
     """
     if phi.src is not f.src and (
         phi.src.dom.dim != f.src.dom.dim or phi.src.cod.dim != f.src.cod.dim
@@ -322,15 +320,13 @@ def arrow_pushout(phi, f, delta=None, modulus=BANACH):
     if f.square_defect() > MORPHISM_TOL:
         raise ValueError("f must intertwine exactly (up to tolerance)")
 
-    d1 = approx_pushout(phi.a1, f.a1, delta=delta, modulus=modulus)
+    d1 = approx_pushout(phi.a1, f.a1, delta=delta)
     u = d1.fhat @ phi.dst.t
     v = d1.j @ f.dst.t
     arrow_rows = [
         (row @ u.matrix, row @ v.matrix) for row in d1.yhat.norming
     ]
-    base_d0 = approx_pushout(
-        phi.a0, f.a0, delta=delta, modulus=modulus, extra_pairs=arrow_rows
-    )
+    base_d0 = approx_pushout(phi.a0, f.a0, delta=delta, extra_pairs=arrow_rows)
     # The arrow witnesses sit in the last k1 rows of the domain pushout's
     # presentation (family order is preserved by the basis pick), so reading
     # those coordinates off a point of Yhat0 gives the sup-coordinates of its
@@ -343,4 +339,4 @@ def arrow_pushout(phi, f, delta=None, modulus=BANACH):
     fhat = ArrowMorphism(phi.dst, shat, base_d0.fhat, d1.fhat)
     j = ArrowMorphism(f.dst, shat, base_d0.j, d1.j)
     defect = max(base_d0.defect, d1.defect)
-    return ArrowPushoutResult(shat, fhat, j, base_d0, d1, defect, delta, modulus)
+    return ArrowPushoutResult(shat, fhat, j, base_d0, d1, defect, delta)

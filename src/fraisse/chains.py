@@ -48,6 +48,8 @@ PHI_PERTURBATION = 0.15  # entry scale of the perturbed almost-embedding per sou
 F_PER_PAIR = 2  # candidate maps per source beyond the padded presentation isometry
 SIGNED_PERMS = 2  # signed-permutation twists of the presentation isometry per source
 SLACK = 0.1  # certified bound of extensions and couplings: modulus(delta) + SLACK
+START_DIM = 1  # dimension of the Gurarij tower's first stage, linf^START_DIM
+NET_CAP = 400  # most members of a morphism net behind a candidate pool
 
 
 class ResourceLimitError(RuntimeError):
@@ -306,7 +308,7 @@ def _dual_ball_rows(space, rng, count):
     return rows
 
 
-def _f_pool(source, stage, rng, net_resolution, net_cap):
+def _f_pool(source, stage, rng, net_resolution):
     """Candidate almost-embeddings of a source into the current stage.
 
     The canonical padded presentation isometry always joins when it fits.
@@ -338,7 +340,7 @@ def _f_pool(source, stage, rng, net_resolution, net_cap):
             out.append((LinearMap(source, stage, pad), 0.0))
         candidates = drawn
         if drawn is None:
-            net = build_morphism_net(source, stage, net_resolution, cap=net_cap, seed=net_seed)
+            net = build_morphism_net(source, stage, net_resolution, cap=NET_CAP, seed=net_seed)
             candidates = (m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9)
         for cand in candidates:
             dist = cand.distortion()
@@ -365,19 +367,13 @@ def _walk(pools, reached):
         yield from reached[s]
 
 
-def build_gurarij_chain(
-    depth,
-    dim_cap=12,
-    net_resolution=0.25,
-    seed=0,
-    start_dim=1,
-    modulus=BANACH,
-    net_cap=400,
-    extend_per_step=4,
-):
+def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, seed=0, extend_per_step=4):
     """Deterministic finite approximation of the universal separable stage tower.
 
-    Each step gathers obligations (phi: E -> F, f: E -> X_k) from the
+    The tower starts at linf^START_DIM, draws its morphism nets with at
+    most NET_CAP members, and resolves obligations within the Banach
+    modulus BANACH; params records all three beside the arguments. Each
+    step gathers obligations (phi: E -> F, f: E -> X_k) from the
     seeded pools, folds as many as the remaining dimension budget allows
     through near-amalgamation (stage grows by dim F per fold, resolving
     map exactly isometric, defect <= modulus(delta)), and resolves a
@@ -390,14 +386,14 @@ def build_gurarij_chain(
     every pool were filtered.
     """
     rng = np.random.default_rng(seed)
-    stages = [LinfSpace(start_dim)]
+    stages = [LinfSpace(START_DIM)]
     connectives = []
     records = []
     sources = _source_pool(rng)
     for k in range(1, depth + 1):
         cur = stages[-1]
         pools = [
-            (source, _phi_catalog(source, rng), _f_pool(source, cur, rng, net_resolution, net_cap))
+            (source, _phi_catalog(source, rng), _f_pool(source, cur, rng, net_resolution))
             for source in sources
         ]
         reached = []  # obligations of the sources the walk has filtered
@@ -421,7 +417,7 @@ def build_gurarij_chain(
                 continue
             f_z = lift @ f
             try:
-                res = nap_amalgamate(f_z, phi, delta=max(delta, 1e-12), modulus=modulus)
+                res = nap_amalgamate(f_z, phi, delta=max(delta, 1e-12))
             except (ValueError, LPInfeasible):
                 continue
             z = res.z
@@ -452,7 +448,7 @@ def build_gurarij_chain(
                 continue
             f_top = lift @ f
             try:
-                g = extend_morphism(phi, f_top, delta=dphi, modulus=modulus)
+                g = extend_morphism(phi, f_top, delta=dphi)
             except (ValueError, LPInfeasible):
                 continue
             defect = map_dist(g @ phi, f_top)
@@ -469,9 +465,9 @@ def build_gurarij_chain(
         "dim_cap": dim_cap,
         "net_resolution": fmt_real(net_resolution),
         "seed": seed,
-        "start_dim": start_dim,
-        "modulus": modulus_to_json(modulus),
-        "net_cap": net_cap,
+        "start_dim": START_DIM,
+        "modulus": modulus_to_json(BANACH),
+        "net_cap": NET_CAP,
         "extend_per_step": extend_per_step,
     }
     return StageChain("gurarij", stages, connectives, records, params)
@@ -481,17 +477,17 @@ def build_gurarij_chain(
 # certified extension into a chain
 
 
-def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, extra_lower=None, defect_cap=None):
+def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, pattern=None):
     """Scan every contraction g: dom -> cod against the defect of g . phi.
 
     cod is identity normed; rows of g are constrained to the dual ball of
     dom through explicit row representations, and the defect of each row
     against the target is measured in the source dual norm the same way,
-    so one LP covers all contractions at once. With no cap the defect is
-    minimized. With defect_cap set, the defect is only capped and the
-    margin of the extra_lower rows (i, x, s) -- demanding s * (g x)_i at
-    least the margin -- is maximized instead, spending the allowed slack
-    on isometric behaviour along the chosen directions.
+    so one LP covers all contractions at once. With no pattern the defect
+    is minimized. With pattern = (lower, defect_cap), the defect is only
+    capped and the margin of the lower rows (i, x, s) -- demanding
+    s * (g x)_i at least the margin -- is maximized instead, spending the
+    allowed slack on isometric behaviour along the chosen directions.
     """
     n_d = dom.dim
     lp = LPBuilder()
@@ -504,14 +500,13 @@ def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, extra_lower=None
         mu = lp.new_vars(2 * source.rows)
         rep = lp.dual_ball_rep(mu, source.norming, 0.0, (t, -1.0))
         lp.add_eq(target_mat[i], (g[i], phi_mat.T), (mu, -rep))
-    if defect_cap is None:
-        for (i, x, s) in extra_lower or []:
-            lp.add_ub(0.0, (g[i], -s * x))
+    if pattern is None:
         res = lp.solve(t)
     else:
+        lower, defect_cap = pattern
         margin = lp.new_vars()
         lp.add_ub(defect_cap, (t, 1.0))
-        for (i, x, s) in extra_lower or []:
+        for (i, x, s) in lower:
             lp.add_ub(0.0, (g[i], -s * x), (margin, 1.0))
         res = lp.solve(margin, maximize=True)
     return res.x[g], res.value
@@ -618,7 +613,7 @@ def certify_extension(chain, phi, f, k, delta=None):
     try:
         g_mat2, _ = _best_contraction_lp(
             phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom,
-            extra_lower=lower, defect_cap=max(best[2], modulus(delta)) + 0.5 * SLACK,
+            pattern=(lower, max(best[2], modulus(delta)) + 0.5 * SLACK),
         )
         g2 = LinearMap(phi.cod, chain.stages[m], g_mat2)
         defect2 = map_dist(g2 @ phi, f_top)

@@ -17,16 +17,14 @@ import sys
 
 import numpy as np
 
-from . import chains, spaces, unital, universal
-from .certify import Certificate, canonical_dumps, verify_certificate
+from . import chains, spaces, trace_states, unital, universal
+from .certify import Certificate, canonical_dumps, content_hash, modulus_from_json, verify_certificate
 from .chains import ResourceLimitError
 from .lp import LPError, use_engine
 
 
 def _write_artifact(out_dir, kind, data):
     text = canonical_dumps(data)
-    from .certify import content_hash
-
     name = f"{kind}-{content_hash(text)[:12]}.json"
     path = os.path.join(out_dir, name)
     os.makedirs(out_dir, exist_ok=True)
@@ -47,10 +45,11 @@ def _cmd_build_gurarij(args):
         net_resolution=args.resolution,
         seed=args.seed,
     )
+    modulus = modulus_from_json(chain.params["modulus"])
     ok = True
     for rec in chain.records:
         defect = float(rec["defect"])
-        bound = float(rec["delta"])  # banach modulus: the bound is delta itself
+        bound = modulus(float(rec["delta"]))
         line_ok = defect <= bound + 1e-7
         ok = ok and line_ok
         print(
@@ -216,8 +215,6 @@ def _cmd_minimality(args):
 
 
 def _cmd_matrix_minimality(args):
-    from . import trace_states
-
     rng = np.random.default_rng(args.seed)
     ell = int(np.ceil(16.0 / args.eps))
     fam = trace_states.projector_family(args.d)
@@ -371,10 +368,7 @@ def main(argv=None):
     try:
         with use_engine(args.engine):
             return args.func(args)
-    except (ResourceLimitError, LPError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, NotImplementedError) as exc:
+    except (ResourceLimitError, LPError, ValueError, KeyError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

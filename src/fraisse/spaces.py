@@ -228,11 +228,11 @@ class LinearMap:
                 c = np.concatenate([row, [-1.0]])
                 val = solve_lp(c, a_ub=a_ub, b_ub=b_ub).value
                 best = max(best, val)
-            self._cache[key] = max(best, 0.0)
+            self._cache[key] = best
         return self._cache[key]
 
-    def is_isometry(self, tol=ISO_TOL):
-        return self.op_norm() <= 1.0 + tol and self.distortion() <= tol
+    def is_isometry(self):
+        return self.op_norm() <= 1.0 + ISO_TOL and self.distortion() <= ISO_TOL
 
     def __repr__(self):
         return f"LinearMap({self.dom.label} -> {self.cod.label}, {self.cod.dim}x{self.dom.dim})"

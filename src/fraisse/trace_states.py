@@ -39,9 +39,9 @@ def _as_complex(m):
     return m
 
 
-def is_hermitian(m, tol=HERMITIAN_TOL):
+def is_hermitian(m):
     m = _as_complex(m)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol * max(1.0, float(np.max(np.abs(m))))
+    return float(np.max(np.abs(m - m.conj().T))) <= HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m))))
 
 
 class DensityMatrix:
@@ -225,13 +225,12 @@ class MatrixEmbedding:
 
 
 class MatrixEmbeddingResult:
-    def __init__(self, embedding, block, block_norm, block_trace, ell, family_size, certificate):
+    def __init__(self, embedding, block, block_norm, block_trace, ell, certificate):
         self.embedding = embedding
         self.block = block
         self.block_norm = block_norm
         self.block_trace = block_trace
         self.ell = ell
-        self.family_size = family_size
         self.certificate = certificate
 
     @property
@@ -300,7 +299,6 @@ def minimal_embedding(s_state, t_state, eps=None, ell=None, seed=0, samples=1000
     if ell is None:
         ell = int(np.ceil(16.0 / eps))
     d = t_state.dim
-    family = projector_family(d)
     k = s_state.dim // d
     if s_state.dim % d != 0:
         raise ValueError("big algebra dimension must be a multiple of d")
@@ -328,7 +326,7 @@ def minimal_embedding(s_state, t_state, eps=None, ell=None, seed=0, samples=1000
             "ell": ell,
         },
     )
-    return MatrixEmbeddingResult(emb, block, block_norm, block_trace, ell, len(family), cert)
+    return MatrixEmbeddingResult(emb, block, block_norm, block_trace, ell, cert)
 
 
 def embedding_checks(result, s_state):

@@ -20,6 +20,7 @@ from .certify import (
     fmt_vector,
     map_from_json,
     map_to_json,
+    modulus_to_json,
     parse_matrix,
     parse_real,
     parse_vector,
@@ -27,11 +28,13 @@ from .certify import (
     space_from_json,
     space_to_json,
 )
+from .chains import StageChain
 from .lp import LPBuilder
-from .spaces import LinearMap, NormedSpace, map_dist
+from .spaces import FUNCTION_SYSTEM, LinearMap, NormedSpace, map_dist
 
 UNIT_TOL = 1e-9
 WEIGHT_TOL = 1e-9
+SEPARATION_TAU = 0.5  # least separation margin certified for each new extreme row
 
 
 class FunctionSystem(NormedSpace):
@@ -52,9 +55,9 @@ class FunctionSystem(NormedSpace):
         return StateVector(self, weights)
 
 
-def simplex_system(n, label=None):
+def simplex_system(n):
     """The coordinate function system: identity rows, unit all ones."""
-    return FunctionSystem(np.eye(n), np.ones(n), label=label or f"simplex({n})")
+    return FunctionSystem(np.eye(n), np.ones(n), label=f"simplex({n})")
 
 
 def system_to_json(system):
@@ -201,7 +204,7 @@ class PoulsenStep:
         self.certificate = certificate
 
 
-def poulsen_extension_step(system, target, tau=0.5):
+def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
     """Extend a function system by one coordinate that evaluates a state.
 
     target is a StateVector (or weight vector) of the current system. The
@@ -241,20 +244,19 @@ def poulsen_extension_step(system, target, tau=0.5):
     return PoulsenStep(grown, phi, idx, margin, cert)
 
 
-def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
+def build_poulsen_chain(depth, targets_per_step=1, seed=0):
     """Seeded tower of function systems with progressively denser extreme rows.
 
     Starts from the two point simplex system; each step draws mixture
     states (seeded dirichlet over the current rows) and realizes each as
-    an exactly extreme row one coordinate up. Step records carry the
-    measured separation margins and the measured cover radius of a fixed
-    probe family (distance from probe states to the nearest extreme row),
-    which is the quantity that is supposed to shrink as the tower grows.
+    an exactly extreme row one coordinate up, its separation margin
+    certified against SEPARATION_TAU. Step records carry the measured
+    separation margins and the measured cover radius of a fixed probe
+    family (distance from probe states to the nearest extreme row), which
+    is the quantity that is supposed to shrink as the tower grows. params
+    records SEPARATION_TAU as "tau" and the FUNCTION_SYSTEM modulus
+    beside the arguments.
     """
-    from .chains import StageChain  # stage container shared with the banach tower
-    from .certify import modulus_to_json
-    from .spaces import FUNCTION_SYSTEM
-
     rng = np.random.default_rng(seed)
     system = simplex_system(2)
     stages = [system]
@@ -274,7 +276,7 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
                 # family really does get approximated as the tower grows
                 weights = np.zeros(grown.rows)
                 weights[:2] = rng.dirichlet(np.full(2, 0.7))
-            step = poulsen_extension_step(grown, weights, tau=tau)
+            step = poulsen_extension_step(grown, weights)
             lift = step.phi @ lift
             grown = step.system
             margins.append(step.margin)
@@ -305,7 +307,7 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0, tau=0.5):
         "depth": depth,
         "targets_per_step": targets_per_step,
         "seed": seed,
-        "tau": fmt_real(tau),
+        "tau": fmt_real(SEPARATION_TAU),
         "modulus": modulus_to_json(FUNCTION_SYSTEM),
     }
     chain = StageChain("poulsen", stages, connectives, records, params)
@@ -398,10 +400,9 @@ def minimality_map(s, t, eps=None):
 
 
 class BallCheckResult:
-    def __init__(self, claim, violation, witness, eps, inputs):
+    def __init__(self, claim, violation, eps, inputs):
         self.claim = claim
         self.violation = violation
-        self.witness = witness
         self.eps = eps
         self.inputs = inputs
 
@@ -457,7 +458,7 @@ def facial_quotient_check(system, p, y, eps):
         "y": fmt_vector(y),
         "eps": fmt_real(eps),
     }
-    return BallCheckResult("facial_quotient", violation, None, eps, inputs)
+    return BallCheckResult("facial_quotient", violation, eps, inputs)
 
 
 @register_claim("biface_ball")
@@ -507,7 +508,7 @@ def biface_check(space, p, x, y, eps):
         "y": fmt_vector(y),
         "eps": fmt_real(eps),
     }
-    return BallCheckResult("biface_ball", violation, None, eps, inputs)
+    return BallCheckResult("biface_ball", violation, eps, inputs)
 
 
 def kernel_basis(p):

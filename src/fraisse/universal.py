@@ -37,7 +37,7 @@ from .certify import (
     parse_vector,
     register_claim,
 )
-from .chains import _best_contraction_lp
+from .chains import ResourceLimitError, _best_contraction_lp
 from .lp import LPBuilder, LPInfeasible
 from .spaces import (
     LinearMap,
@@ -54,6 +54,7 @@ from .unital import _null_basis, build_poulsen_chain
 SQUARE_TOL = 1e-9
 ANCHOR_THRESHOLD = 0.4  # least image norm of a domain direction a fold may anchor at
 CANDIDATE_LIMIT = 48  # signed coordinate injections tried per absorption check
+FOLD_DELTA = 0.05  # distortion promised to every template fold and in-place extension
 
 
 def prune_redundant_rows(space):
@@ -186,17 +187,18 @@ def _fold_obligation(stage, i, c, beta, gamma, grow_cod):
     return phi, f
 
 
-def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=0.05):
+def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0):
     """Grow one contraction that realizes its own recorded extension templates.
 
     Each step folds one template (new domain direction with seeded mixing
-    and output scale) through the arrow pushout, prunes and absorbs the
-    pushout presentations, and re-extends the connecting operator across
-    the absorption at zero tolerance. When the caps are reached the step
-    degrades to an in-place extension record with an identity connective.
-    Every record keeps the template parameters and the maps resolving the
-    template into the stage it was folded at; the test battery generator
-    replays exactly those.
+    and output scale) through the arrow pushout at delta = FOLD_DELTA,
+    prunes and absorbs the pushout presentations, and re-extends the
+    connecting operator across the absorption at zero tolerance. When the
+    caps are reached the step degrades to an in-place extension record
+    with an identity connective. Every record keeps the template
+    parameters and the maps resolving the template into the stage it was
+    folded at; the test battery generator replays exactly those. params
+    records FOLD_DELTA as "delta" beside the arguments.
     """
     rng = np.random.default_rng(seed)
     t0 = ArrowObject(LinearMap(LinfSpace(1), LinfSpace(1), np.eye(1)), "stage0")
@@ -215,7 +217,7 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
         phi, f = _fold_obligation(stage, i, c, beta, gamma, grow_cod)
         will_grow = stage.dom.dim < dom_cap and stage.cod.dim < cod_cap
         if will_grow:
-            po = arrow_pushout(phi, f, delta=delta)
+            po = arrow_pushout(phi, f, delta=FOLD_DELTA)
             y0p, _ = prune_redundant_rows(po.shat.dom)
             y1p, _ = prune_redundant_rows(po.shat.cod)
             emb0 = embed_linf(y0p) @ LinearMap(po.shat.dom, y0p, np.eye(po.shat.dom.dim))
@@ -238,8 +240,8 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
             self_conn = ArrowMorphism(
                 stage, stage, LinearMap.identity(stage.dom), LinearMap.identity(stage.cod)
             )
-            g0 = extend_morphism(phi.a0, f.a0, delta=delta, check=False)
-            g1 = extend_morphism(phi.a1, f.a1, delta=delta, check=False)
+            g0 = extend_morphism(phi.a0, f.a0, delta=FOLD_DELTA, check=False)
+            g1 = extend_morphism(phi.a1, f.a1, delta=FOLD_DELTA, check=False)
             g_arrow = ArrowMorphism(phi.dst, stage, g0, g1)
             defect = max(
                 map_dist(g0 @ phi.a0, f.a0),
@@ -272,7 +274,7 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0, delta=
         "dom_cap": dom_cap,
         "cod_cap": cod_cap,
         "seed": seed,
-        "delta": fmt_real(delta),
+        "delta": fmt_real(FOLD_DELTA),
     }
     return ArrowChain(stages, connectives, records, params)
 
@@ -375,7 +377,7 @@ def _signed_injections(src_dim, dst_dim, limit):
                 return
 
 
-def check_universal_operator_property(chain, l_map, eps, stage=None, hints=None):
+def check_universal_operator_property(chain, l_map, eps, hints=None):
     """Can the tower operator absorb the test operator within eps.
 
     Searches pairs (alpha0, alpha1) of almost isometric contractions with
@@ -386,8 +388,7 @@ def check_universal_operator_property(chain, l_map, eps, stage=None, hints=None)
     solved independently of any hint. Passing means the measured square
     defect and both measured distortions are within eps.
     """
-    m = chain.depth if stage is None else stage
-    t_map = chain.stages[m].t
+    t_map = chain.top.t
     candidates = []
     for h in hints or []:
         candidates.append((np.asarray(h, dtype=float), "hint"))
@@ -418,7 +419,7 @@ def check_universal_operator_property(chain, l_map, eps, stage=None, hints=None)
     return UniversalCheckResult(alpha0, alpha1, defect, d0, d1, eps, passed, via=via)
 
 
-def check_universal_projection_property(chain, p_map, eps, stage=None, hints=None):
+def check_universal_projection_property(chain, p_map, eps, hints=None):
     """Absorption check for a surjective test contraction (a quotient item).
 
     Same search as the operator check, and additionally requires the test
@@ -431,9 +432,7 @@ def check_universal_projection_property(chain, p_map, eps, stage=None, hints=Non
         v = rng.normal(size=p_map.cod.dim)
         v = v / max(p_map.cod.norm(v), 1e-12)
         worst = max(worst, image_distance(p_map, v))
-    result = check_universal_operator_property(
-        chain, p_map, eps, stage=stage, hints=hints
-    )
+    result = check_universal_operator_property(chain, p_map, eps, hints=hints)
     result.passed = result.passed and worst <= eps + 1e-9
     result.quotient_defect = worst
     return result
@@ -500,7 +499,7 @@ def generate_operator_battery(chain, count=10, eps=0.2):
         if res.passed:
             items.append({"l": l_map, "hint": hint, "tag": tag})
     if len(items) < count:
-        raise RuntimeError(f"only {len(items)} of {count} battery items have verified witnesses")
+        raise ResourceLimitError(f"only {len(items)} of {count} battery items have verified witnesses")
     return items
 
 
@@ -568,10 +567,9 @@ def kernel_stage(t_map, eps=1e-8):
 class StateChain:
     """A function system tower carrying one exactly compatible state."""
 
-    def __init__(self, chain, states, retractions):
+    def __init__(self, chain, states):
         self.chain = chain
         self.states = states
-        self.retractions = retractions
 
     @property
     def depth(self):
@@ -607,15 +605,12 @@ def build_universal_state_chain(depth, seed=0):
     """
     chain = build_poulsen_chain(depth, targets_per_step=2, seed=seed)
     states = [np.array([0.5, 0.5])]
-    retractions = []
     for k in range(chain.depth):
         cur = chain.stages[k]
-        nxt = chain.stages[k + 1]
-        r = np.zeros((cur.dim, nxt.dim))
+        r = np.zeros((cur.dim, chain.stages[k + 1].dim))
         r[:, : cur.dim] = np.eye(cur.dim)
-        retractions.append(LinearMap(nxt, cur, r))
         states.append(states[-1] @ r)
-    return StateChain(chain, states, retractions)
+    return StateChain(chain, states)
 
 
 @register_claim("state_absorption")
@@ -627,11 +622,11 @@ def _recheck_state(inputs):
     return alpha.dom.dual_norm(diff)
 
 
-def check_universal_state_property(state_chain, system, sigma, eps, stage=None):
+def check_universal_state_property(state_chain, system, sigma, eps):
     """Embed a test state pair into the tower state within eps.
 
-    One LP finds a unital positive alpha from the test system into a
-    stage: rows of alpha through the stage presentation are states of the
+    One LP finds a unital positive alpha from the test system into the
+    top stage: rows of alpha through the stage presentation are states of the
     test system, the pullback against the tower state matches sigma
     within eps, and each presentation row of the test system is pinned
     exactly onto its own state-free stage coordinate. The pinning is
@@ -643,9 +638,8 @@ def check_universal_state_property(state_chain, system, sigma, eps, stage=None):
     eps and the measured distortion of alpha within eps.
     """
     sigma = np.asarray(sigma, dtype=float)
-    m = state_chain.depth if stage is None else stage
-    target = state_chain.chain.stages[m]
-    s_func = state_chain.states[m]
+    target = state_chain.chain.top
+    s_func = state_chain.states[-1]
     w_e = system.norming
     w_t = target.norming
     lp = LPBuilder()

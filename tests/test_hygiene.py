@@ -1,5 +1,6 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-and no benchmark tracer entry point that has gone missing."""
+no defaulted parameter that no call sets, and no benchmark tracer entry point
+that has gone missing."""
 
 import ast
 import importlib
@@ -92,3 +93,71 @@ def test_tracer_entry_points_resolve():
             if not callable(found):
                 missing.append(f"{layer}.{qualname}")
     assert not missing, f"tracer entry points not defined in fraisse: {missing}"
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, position) of each defaulted parameter
+    of a named function in src/fraisse. position counts from the first
+    argument a call passes, so a method's self or cls is not counted; it
+    is None for a keyword-only parameter."""
+    out = []
+    for module, tree in _modules().items():
+        methods = {
+            id(fn)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if not any(getattr(d, "id", None) == "staticmethod" for d in getattr(fn, "decorator_list", []))
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1 if id(node) in methods else 0 :]
+            for position in range(len(positional) - len(args.defaults), len(positional)):
+                out.append((module, node, positional[position], position))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.append((module, node, arg.arg, None))
+    return out
+
+
+def _calls_by_name():
+    """What every call in src/, tests/, bench/ and demos/ passes, keyed by
+    the called name (a class name counts as a call of its __init__): the
+    keyword names and positional count of each call, with None for a
+    *args or **kwargs whose contents the scan cannot see."""
+    calls = {}
+    classes = {
+        node.name for tree in _modules().values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in classes:
+                    name = "__init__"
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append(
+                    (None if starred else len(node.args), None if None in keywords else keywords)
+                )
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default no call overrides is a constant spelled as a parameter;
+    # matching calls by bare name errs towards calling a parameter set
+    calls = _calls_by_name()
+    dead = [
+        f"{module}:{func.lineno} {func.name}({name})"
+        for module, func, name, position in _defaulted_parameters()
+        if not any(
+            npos is None or kws is None or name in kws or (position is not None and npos > position)
+            for npos, kws in calls.get(func.name, [])
+        )
+    ]
+    assert not dead, f"defaulted parameters no call in src/, tests/, bench/ or demos/ sets: {dead}"

@@ -261,6 +261,14 @@ def test_cli_universal_towers(tmp_path, capsys):
     assert "[FAIL]" not in out
 
 
+def test_cli_universal_op_short_battery_is_a_resource_error(tmp_path, capsys):
+    # a depth-1 tower has too few fold records to supply 40 battery items
+    rc = main(["universal-op", "--depth", "1", "--seed", "0", "--battery", "40", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: only 4 of 40 battery items")
+
+
 def test_cli_homogeneity(capsys):
     rc = main(["homogeneity", "--depth", "1", "--seed", "2", "--rounds", "2"])
     assert rc == 0

@@ -21,6 +21,10 @@ from fraisse.unital import (
     state_distance,
 )
 
+# build_poulsen_chain(depth=5, seed=0), whose params record tau and the
+# function-system modulus
+POULSEN_HASH = "c69d731475db6452d89f2d3503e473fcb3f87d96d03f622d1de1348458e9e728"
+
 
 def test_function_system_unit_validation():
     with pytest.raises(ValueError, match="value 1 at the unit"):
@@ -111,6 +115,10 @@ def test_poulsen_chain_growth_and_margins():
         assert parse_real(rec["cover_radius"]) >= 0.0
     again = build_poulsen_chain(depth=3, targets_per_step=1, seed=0)
     assert again.content_hash() == chain.content_hash()
+
+
+def test_poulsen_chain_frozen():
+    assert build_poulsen_chain(depth=5, seed=0).content_hash() == POULSEN_HASH
 
 
 def test_poulsen_cover_radius_trend():

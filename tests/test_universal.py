@@ -23,6 +23,10 @@ from fraisse.universal import (
 )
 from fraisse.unital import kernel_basis, simplex_system
 
+# build_universal_state_chain(depth=4, seed=0): the Poulsen tower with two
+# targets per step and the states pulled back along it
+STATE_HASH = "69c74149f4fd086cadffd2610bf71348ece8531ab964e4eee6a80f5376d0e539"
+
 
 @pytest.fixture(scope="module")
 def chain2():
@@ -195,6 +199,10 @@ def test_state_chain_exact_compatibility():
         assert np.sum(s) == pytest.approx(1.0, abs=1e-12)
     again = build_universal_state_chain(depth=3, seed=0)
     assert again.content_hash() == sc.content_hash()
+
+
+def test_state_chain_frozen():
+    assert build_universal_state_chain(depth=4, seed=0).content_hash() == STATE_HASH
 
 
 def test_state_absorption_exact_on_simplices():

@@ -215,6 +215,8 @@ def _cmd_minimality(args):
 
 
 def _cmd_matrix_minimality(args):
+    if not args.eps > 0:
+        raise ValueError(f"--eps must be positive, got {args.eps}")
     rng = np.random.default_rng(args.seed)
     ell = int(np.ceil(16.0 / args.eps))
     fam = trace_states.projector_family(args.d)

@@ -11,13 +11,18 @@ scipy (1.15 and later) directly through its bindings
 solution checks of `scipy.optimize.linprog(method="highs")` but without
 its per-call overhead, which dominates the tiny LPs of this library.
 Each thread keeps one HiGHS instance, given the options once, and hands
-it one model per solve. In front of HiGHS sits a closed form for
-separable LPs, those without equality rows whose every row bounds a
-single variable (the op_norm LPs over l-infinity balls): it gives
-HiGHS's point bit for bit and passes the same solution checks.
-Everything else falls through to HiGHS, as does every separable LP that
-is infeasible, unbounded, non-finite or near one of HiGHS's tolerances,
-so exceptions keep HiGHS's types.
+it one model per solve. In front of HiGHS sit two closed forms, each
+giving HiGHS's point bit for bit and passing the same solution checks:
+- separable LPs, those without equality rows whose every row bounds a
+  single variable (the op_norm LPs over l-infinity balls);
+- least-coefficient-sum LPs with one equality row a.lam = g whose
+  largest |a_i| is exactly 1 and unique (the Hahn-Banach extensions
+  into l-infinity stages along signed coordinate injections), matched
+  against the `l1_template` they are built from.
+Everything else falls through to HiGHS, as does every such LP that is
+infeasible, unbounded, non-finite or near one of HiGHS's tolerances
+(a near tie for the pivot, or g near 0 or huge), so exceptions keep
+HiGHS's types.
 
 Engine selection, first match wins: the innermost `use_engine` scope,
 the FRAISSE_LP_ENGINE environment variable, then "float". A caller that
@@ -33,6 +38,7 @@ rows W.
 
 import contextlib
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -203,9 +209,8 @@ class LPBuilder:
 
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
-    cost = (-1.0 if maximize else 1.0) * c
-    solved = _solve_separable(cost, a_ub, b_ub, a_eq, b_eq)
-    x, fun, y_ub, y_eq = solved or _run_highs(cost, a_ub, b_ub, a_eq, b_eq)
+    args = (-1.0 if maximize else 1.0) * c, a_ub, b_ub, a_eq, b_eq
+    x, fun, y_ub, y_eq = _solve_separable(*args) or _solve_l1_pivot(*args) or _run_highs(*args)
     _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
     value = float(c @ x)
     return LPResult(value, x, "float")
@@ -311,6 +316,68 @@ def _solve_separable(c, a_ub, b_ub, a_eq, b_eq):
     return x, float(c @ x), y_ub, np.zeros(0)
 
 
+@functools.lru_cache(maxsize=32)
+def l1_template(nr):
+    """The fixed part (c, a_ub, b_ub) of min sum |lam| over lam in R^nr.
+
+    Variables (lam, u), minimizing sum u with lam - u <= 0 and
+    -lam - u <= 0; only the equality rows (a, 0) a caller adds vary. The
+    arrays are read-only and kept for the 32 sizes used last, and both
+    the builder (`spaces._least_coefficient_sum`) and the recognizer
+    (`_solve_l1_pivot`) take the shape from here.
+    """
+    c = np.concatenate([np.zeros(nr), np.ones(nr)])
+    eye = np.eye(nr)
+    a_ub = np.block([[eye, -eye], [-eye, -eye]])
+    b_ub = np.zeros(2 * nr)
+    for arr in (c, a_ub, b_ub):
+        arr.setflags(write=False)
+    return c, a_ub, b_ub
+
+
+def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize sum |lam| subject to one row a.lam = g in closed form when
+    a has a unique entry of magnitude exactly 1, the pivot a_i.
+
+    The LP must be `l1_template`'s, bit for bit, with the one equality
+    row (a, 0). Every other |a_j| is at most 1 - near (below), so the
+    optimum is unique: lam_i = g / a_i, u_i = |g| and zero elsewhere,
+    which HiGHS reports as -0.0 (all of x when g == 0). Returns what
+    `_run_highs` would, with x bit for bit HiGHS's and the true duals:
+    y_eq = sign(g), and (-1 - a_j y_eq) / 2, (-1 + a_j y_eq) / 2 on the
+    two sign rows of column j.
+
+    Returns None, leaving the LP to HiGHS, for any other shape, for
+    non-finite a or g, and near a case HiGHS settles by its tolerances,
+    with near as in `_solve_separable`: another |a_j| above 1 - near (a
+    near tie for the pivot), or 0 < |g| < near or |g| > 1 / near.
+    """
+    nr = c.shape[0] // 2
+    if b_eq.shape[0] != 1 or not nr:
+        return None
+    for arr, fixed in zip((c, a_ub, b_ub), l1_template(nr)):
+        if arr.shape != fixed.shape or arr.tobytes() != fixed.tobytes():
+            return None
+    a, g = a_eq[0, :nr], float(b_eq[0])
+    if a_eq[0, nr:].any():
+        return None
+    near = SEPARABLE_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
+    mags = np.abs(a)
+    i = int(mags.argmax())  # the first NaN, if any
+    if mags[i] != 1.0 or not (g == 0 or near <= abs(g) <= 1 / near):
+        return None
+    mags[i] = 0.0
+    if mags.max() > 1 - near:
+        return None
+    x = np.full(2 * nr, -0.0)
+    if g:
+        x[i] = g / a[i]
+        x[nr + i] = abs(g)
+    y = math.copysign(1.0, g) if g else 0.0
+    t = a * y
+    return x, abs(g), np.concatenate([-1.0 - t, -1.0 + t]) / 2, np.array([y])
+
+
 def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     """Minimize c.x over free x as linprog(method="highs") would, without it.
 
@@ -383,31 +450,31 @@ def _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq):
     `fun` is the solver's optimal value and y_ub, y_eq its row duals for
     that minimization.
     """
-    if not (
-        np.isfinite(x).all()
-        and np.isfinite(fun)
-        and np.isfinite(y_ub).all()
-        and np.isfinite(y_eq).all()
-    ):
+    x_max = _abs_max(x)  # NaN or inf exactly when some entry of x is
+    if not (math.isfinite(x_max) and math.isfinite(fun) and _finite(y_ub) and _finite(y_eq)):
         raise LPError("LP solution or duals not finite")
     # Primal residuals, scaled by the data magnitude.
-    scale = 1.0 + max(
-        (float(np.max(np.abs(b_ub))) if b_ub.size else 0.0),
-        (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0),
-        float(np.max(np.abs(x))) if x.size else 0.0,
-    )
+    scale = 1.0 + max(_abs_max(b_ub), _abs_max(b_eq), x_max)
     if a_ub.size:
-        viol = float(np.max(a_ub @ x - b_ub))
+        viol = (a_ub @ x - b_ub).max()
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"inequality residual {viol:.3e} exceeds tolerance")
     if a_eq.size:
-        viol = float(np.max(np.abs(a_eq @ x - b_eq)))
+        viol = abs(a_eq @ x - b_eq).max()
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"equality residual {viol:.3e} exceeds tolerance")
-    dual = float(b_ub @ y_ub) + float(b_eq @ y_eq)
+    dual = (float(b_ub @ y_ub) if b_ub.size else 0.0) + (float(b_eq @ y_eq) if b_eq.size else 0.0)
     primal = float(fun)
     if abs(primal - dual) > GAP_TOL * (1.0 + abs(primal)):
         raise LPError(f"duality gap {abs(primal - dual):.3e} exceeds tolerance")
+
+
+def _abs_max(arr):
+    return abs(arr).max() if arr.size else 0.0
+
+
+def _finite(arr):
+    return not arr.size or np.isfinite(arr).all()
 
 
 # --- exact rational simplex -------------------------------------------------

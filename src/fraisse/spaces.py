@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .lp import LPInfeasible, current_engine, solve_lp
+from .lp import LPInfeasible, current_engine, l1_template, solve_lp
 
 ISO_TOL = 1e-9
 MORPHISM_TOL = 1e-7
@@ -121,15 +121,14 @@ class NormedSpace:
 def _least_coefficient_sum(a, g):
     """min sum |lambda| subject to a @ lambda = g.
 
-    Variables (lambda, u), minimizing sum u with -u <= lambda <= u; the
-    columns of a are the functionals lambda combines.
+    Variables (lambda, u) as in `lp.l1_template`, which gives the LP all
+    but its equality rows (a, 0) = g; the columns of a are the
+    functionals lambda combines.
     """
     k, nr = a.shape
-    c = np.concatenate([np.zeros(nr), np.ones(nr)])
-    eye = np.eye(nr)
-    a_ub = np.block([[eye, -eye], [-eye, -eye]])
+    c, a_ub, b_ub = l1_template(nr)
     a_eq = np.hstack([a, np.zeros((k, nr))])
-    return solve_lp(c, a_ub=a_ub, b_ub=np.zeros(2 * nr), a_eq=a_eq, b_eq=g, maximize=False)
+    return solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=g, maximize=False)
 
 
 class LinfSpace(NormedSpace):
@@ -190,9 +189,10 @@ class LinearMap:
         """
         key = ("op_norm", current_engine())
         if key not in self._cache:
+            ball_a, ball_b = self.dom.ball_constraints()
             best = 0.0
             for row in self.cod.norming:
-                best = max(best, self.dom.support_value(row @ self.matrix))
+                best = max(best, solve_lp(row @ self.matrix, a_ub=ball_a, b_ub=ball_b).value)
             self._cache[key] = best
         return self._cache[key]
 

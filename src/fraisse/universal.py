@@ -301,6 +301,8 @@ def surjectivity_defect(chain, probes=20, base_stage=0, seed=0):
     are isometries and squares commute, so the sequence cannot increase;
     it is measured, not asserted.
     """
+    if not 0 <= base_stage <= chain.depth:
+        raise ValueError(f"base_stage {base_stage} is not a stage of this depth-{chain.depth} tower")
     rng = np.random.default_rng(seed)
     base = chain.stages[base_stage]
     pts = []

@@ -13,8 +13,8 @@ the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
 that -0.0 reads as 0.0, and maximize), a sha256 of the outcome (the
 value and `x.tobytes()`, or the name of the exception raised) and the
 fraisse call path that asked for it. The artifact's content hash, or the
-round's digest, goes to stderr with the number of float solves that
-`lp._solve_separable` served in closed form.
+round's digest, goes to stderr with the number of float solves that each
+closed form served: `lp._solve_separable` and `lp._solve_l1_pivot`.
 
 `compare` checks that the second stream is the first one in the same
 order with some solves left out, matching each solve on its engine, its
@@ -23,18 +23,27 @@ give the same answer bit for bit. It tallies the left-out solves by the
 innermost `chains` function of their call path, and exits 1 when the
 second stream is not such a subsequence.
 
+The BLAS/OpenMP pools are pinned to one thread before numpy loads, as
+`bench/run.py` pins them, so that a `bench` stream reads what a benchmark
+round solves.
+
 pytest does not collect this file: its name does not start with `test_`.
 """
 
-import argparse
-import ast
-import collections
-import hashlib
-import importlib
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import ast  # noqa: E402
+import collections  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 BUILDERS = {
     "gurarij": ("chains", "build_gurarij_chain"),
@@ -69,8 +78,8 @@ def call_path():
 def spy(out):
     """Wrap both solvers so that every solve writes its line to out.
 
-    Returns a Counter of the solves of each engine and, under "closed
-    form", of the float solves that `lp._solve_separable` served.
+    Returns a Counter of the solves of each engine and, under the name
+    of each closed form, of the float solves it served.
     """
     from fraisse import lp
 
@@ -93,19 +102,26 @@ def spy(out):
 
         return spied
 
-    def closed_form(*args, _solve=lp._solve_separable):
-        solved = _solve(*args)
-        solves["closed form"] += solved is not None
-        return solved
+    def closed_form(name, solve):
+        def counted(*args):
+            solved = solve(*args)
+            solves[name] += solved is not None
+            return solved
+
+        return counted
 
     lp._solve_float = wrap("float", lp._solve_float)
     lp._solve_exact = wrap("exact", lp._solve_exact)
-    lp._solve_separable = closed_form
+    lp._solve_separable = closed_form("separable", lp._solve_separable)
+    lp._solve_l1_pivot = closed_form("l1 pivot", lp._solve_l1_pivot)
     return solves
 
 
 def served(solves):
-    return f"closed form served {solves['closed form']} of {solves['float']} float solves"
+    return (
+        f"closed forms served separable {solves['separable']}, "
+        f"l1 pivot {solves['l1 pivot']} of {solves['float']} float solves"
+    )
 
 
 def run_build(name, kwargs, engine, solves):

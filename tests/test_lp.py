@@ -20,7 +20,7 @@ from fraisse.lp import (
     solve_lp,
     use_engine,
 )
-from fraisse.spaces import LinearMap, LinfSpace, NormedSpace
+from fraisse.spaces import LinearMap, LinfSpace, NormedSpace, extend_morphism
 from fraisse.universal import prune_redundant_rows
 
 LINPROG_OUTCOMES = Path(__file__).parent / "data" / "linprog_lp_battery_11.json"
@@ -363,6 +363,107 @@ def test_closed_form_answers_are_still_checked(monkeypatch):
     monkeypatch.setattr(lp, "_solve_separable", off)
     with pytest.raises(LPError, match="inequality residual"):
         solve_lp(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]), b_ub=np.ones(2))
+
+
+def _l1_pivot_battery(seed):
+    """Seeded one-row LPs of `spaces._least_coefficient_sum`, as `_run_highs` takes them.
+
+    Unit pivots of either sign, alone (n = 1) or among smaller entries,
+    some just under 1 in magnitude, tiny or zero; ties at |a| = 1 and
+    largest entries other than 1; g at +-0, tiny, normal and up to 1e5;
+    an all-zero row and non-finite a or g.
+    """
+    rng = np.random.default_rng(seed)
+    near = lp.SEPARABLE_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
+
+    def lp_of(a, g):
+        nr = len(a)
+        c, a_ub, b_ub = lp.l1_template(nr)
+        return c, a_ub, b_ub, np.hstack([a, np.zeros(nr)])[None, :], np.array([g])
+
+    for _ in range(600):
+        nr = int(rng.integers(1, 15))
+        a = rng.uniform(-1.0, 1.0, size=nr)
+        for j in range(nr):
+            kind = rng.random()
+            if kind < 0.05:  # just under 1: inside and outside the margin
+                a[j] = rng.choice([-1.0, 1.0]) * (1.0 - near * rng.uniform(0.5, 3.0))
+            elif kind < 0.15:
+                a[j] = rng.choice([0.0, -0.0, 1e-12, 1e-8])
+            elif kind < 0.17:  # a tie with the pivot
+                a[j] = rng.choice([-1.0, 1.0])
+        a[rng.integers(nr)] = rng.choice([1.0, -1.0] * 3 + [1.0 + 1e-12, 0.5, 2.0])
+        size = rng.choice([0.0, 1e-12, 1e-8, near / 2, 1e-5, 1.0, 1e5] + [10.0 ** rng.uniform(-3.0, 5.0)] * 3)
+        yield lp_of(a, rng.choice([1.0, -1.0]) * size)
+    yield lp_of(np.zeros(3), 1.0)  # infeasible
+    yield lp_of(np.array([np.nan, 1.0]), 1.0)
+    yield lp_of(np.array([0.5, -np.inf]), 1.0)
+    yield lp_of(np.array([0.5, -1.0]), np.nan)
+    yield lp_of(np.array([0.5, -1.0]), np.inf)
+
+
+def test_l1_pivot_matches_highs_bit_for_bit(monkeypatch):
+    battery = list(_l1_pivot_battery(7))
+    served = 0
+    for args in battery:
+        closed = lp._solve_l1_pivot(*args)
+        if closed is not None:
+            served += 1
+            highs = lp._run_highs(*args)[0]
+            assert closed[0].tobytes() == highs.tobytes(), (args, closed[0], highs)
+    assert served >= 150  # exercised, not only bypassed (234 of 605 at seed 7)
+    # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
+    lps = [(*args, False) for args in battery]
+    with_closed_form = [_outcome(a) for a in lps]
+    monkeypatch.setattr(lp, "_solve_l1_pivot", lambda *args: None)
+    for a, mine, highs in zip(lps, with_closed_form, [_outcome(a) for a in lps]):
+        assert mine == highs, a
+    kinds = {o if isinstance(o, type) else "solved" for o in with_closed_form}
+    assert kinds == {"solved", LPError, LPInfeasible, ValueError}
+
+
+def test_l1_pivot_leaves_other_shapes_and_near_cases_to_highs():
+    near = lp.SEPARABLE_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
+    c, a_ub, b_ub = lp.l1_template(3)
+
+    def pivot(a, g, c=c, a_ub=a_ub, b_ub=b_ub):
+        a = np.atleast_2d(a)
+        a_eq = np.hstack([a, np.zeros_like(a)])
+        return lp._solve_l1_pivot(c, a_ub, b_ub, a_eq, np.full(a.shape[0], g))
+
+    x = pivot([0.5, -1.0, 1.0 - 2 * near], 0.75)[0]
+    assert x.tobytes() == np.array([-0.0, -0.75, -0.0, -0.0, 0.75, -0.0]).tobytes()
+    assert pivot([0.5, -1.0, 0.25], 0.0)[0].tobytes() == np.full(6, -0.0).tobytes()
+    assert pivot([0.5, -1.0, 1.0 - near / 2], 0.75) is None  # a near tie
+    assert pivot([0.5, -1.0, 1.0], 0.75) is None  # a tie
+    assert pivot([0.5, -1.0 + 1e-12, 0.25], 0.75) is None  # no unit pivot
+    assert pivot([0.5, -2.0, 0.25], 0.75) is None
+    assert pivot([np.nan, -1.0, 0.25], 0.75) is None
+    assert pivot([0.5, -1.0, 0.25], near / 2) is None  # tiny g
+    assert pivot([0.5, -1.0, 0.25], 2 / near) is None  # huge g
+    assert pivot([0.5, -1.0, 0.25], np.nan) is None
+    assert pivot([[0.5, -1.0, 0.25], [0.0, 0.0, 1.0]], 0.75) is None  # two equality rows
+    assert lp._solve_l1_pivot(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((1, 0)), np.ones(1)) is None
+    # not the template: a maximization, a scaled or loosened sign row, a u column in the row
+    assert pivot([0.5, -1.0, 0.25], 0.75, c=-c) is None
+    assert pivot([0.5, -1.0, 0.25], 0.75, a_ub=a_ub * np.arange(1, 7)[:, None]) is None
+    assert pivot([0.5, -1.0, 0.25], 0.75, b_ub=np.eye(6)[0]) is None
+    u_in_row = np.array([[0.5, -1.0, 0.25, 0.0, 1e-3, 0.0]])
+    assert lp._solve_l1_pivot(c, a_ub, b_ub, u_in_row, np.array([0.75])) is None
+    # at g = 1e-8 HiGHS's point misses the residual check, and solve_lp must still say so
+    with pytest.raises(LPError, match="residual"):
+        solve_lp(c, a_ub, b_ub, np.hstack([[0.5, -1.0, 0.25], np.zeros(3)])[None, :], [1e-8], maximize=False)
+
+
+def test_extension_along_a_coordinate_injection_makes_no_highs_call(monkeypatch):
+    calls = []
+    run_highs = lp._run_highs
+    monkeypatch.setattr(lp, "_run_highs", lambda *args: calls.append(1) or run_highs(*args))
+    phi = LinearMap(LinfSpace(1), LinfSpace(2), [[1.0], [0.0]])
+    f = LinearMap(LinfSpace(1), LinfSpace(3), [[0.5], [-1.0], [0.0]])
+    h = extend_morphism(phi, f, delta=0.05, check=False)
+    assert h.matrix.tolist() == [[0.5 / 1.05, -0.0], [-1.0 / 1.05, -0.0], [-0.0, -0.0]]
+    assert calls == []
 
 
 def _highs_battery():

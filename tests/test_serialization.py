@@ -243,6 +243,14 @@ def test_cli_verify_rejects_sampled_certificate_without_samples(tmp_path, capsys
     assert "at least one sample" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_cli_matrix_minimality_rejects_a_non_positive_eps(eps, capsys):
+    rc = main(["matrix-minimality", "--eps", eps, "--seed", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --eps must be positive")
+
+
 def test_cli_matrix_minimality_unimplemented_dimension():
     rc = main(["matrix-minimality", "--d", "3", "--eps", "8.0", "--seed", "0"])
     assert rc == 2
@@ -267,6 +275,14 @@ def test_cli_universal_op_short_battery_is_a_resource_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: only 4 of 40 battery items")
+
+
+def test_cli_universal_op_depth_zero_has_no_base_stage(tmp_path, capsys):
+    # the image distances start at stage 1, which a depth-0 tower lacks
+    rc = main(["universal-op", "--depth", "0", "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: base_stage 1 is not a stage of this depth-0 tower"]
 
 
 def test_cli_homogeneity(capsys):

@@ -448,7 +448,7 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, seed=0, extend_p
                 continue
             f_top = lift @ f
             try:
-                g = extend_morphism(phi, f_top, delta=dphi)
+                g = extend_morphism(phi, f_top, delta=dphi, check=False)
             except (ValueError, LPInfeasible):
                 continue
             defect = map_dist(g @ phi, f_top)

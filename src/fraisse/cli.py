@@ -5,9 +5,9 @@ passed, 1 when at least one check produced a negative certificate, and 2
 on configuration or resource errors (argparse uses 2 natively). Builds
 require an explicit seed and write their artifact as JSON named by a
 prefix of the content hash, so reruns with the same inputs land on the
-same file. --engine selects the LP engine for every LP the command
-solves, `verify` included; without it the FRAISSE_LP_ENGINE environment
-variable decides, and "float" is the default.
+same file. --engine opens a `use_engine` scope around the command, so
+every LP it solves, `verify` included, runs on that engine; without it
+the float engine runs.
 """
 
 import argparse

@@ -2,8 +2,8 @@
 
 Two interchangeable engines behind one call: a floating-point engine
 whose answers are re-checked against primal residuals and the dual gap,
-and an exact rational simplex over Fractions for small instances where
-the certificate must be arithmetic-exact.
+and an exact two-phase simplex over Fractions (Bland's rule) for small
+instances where the certificate must be arithmetic-exact.
 
 The float engine calls the dual simplex of the HiGHS build bundled with
 scipy (1.15 and later) directly through its bindings
@@ -24,10 +24,12 @@ infeasible, unbounded, non-finite or near one of HiGHS's tolerances
 (a near tie for the pivot, or g near 0 or huge), so exceptions keep
 HiGHS's types.
 
-Engine selection, first match wins: the innermost `use_engine` scope,
-the FRAISSE_LP_ENGINE environment variable, then "float". A caller that
-wants exact arithmetic opens a scope around the whole computation, so
-every LP solved inside it, however deep, runs on the chosen engine.
+The `use_engine` scope is the only engine selector: the innermost scope
+decides, "float" runs outside every scope, and `fraisse --engine` opens
+one around a command. A caller that wants exact arithmetic opens a
+scope around the whole computation, so every LP solved inside it,
+however deep, runs on the chosen engine. Both engines refuse the same
+inputs (no variables, inf or nan) with the same ValueError.
 
 `LPBuilder` assembles the block LPs of the library from blocks of
 variables and rows; its `dual_ball_rep` is the motif behind most of
@@ -40,14 +42,12 @@ import contextlib
 import contextvars
 import functools
 import math
-import os
 import threading
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-ENGINE_ENV_VAR = "FRAISSE_LP_ENGINE"
 RESIDUAL_TOL = 1e-9
 GAP_TOL = 1e-7
 
@@ -81,21 +81,12 @@ class LPResult:
         return f"LPResult(value={self.value!r}, engine={self.engine!r})"
 
 
-_SCOPE = contextvars.ContextVar("fraisse_lp_engine", default=None)
-
-
-def _checked(engine):
-    if engine not in ("float", "exact"):
-        raise LPError(f"unknown LP engine {engine!r} (expected 'float' or 'exact')")
-    return engine
+_SCOPE = contextvars.ContextVar("fraisse_lp_engine", default="float")
 
 
 def current_engine():
     """The engine a solve would use now."""
-    engine = _SCOPE.get()
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "float")
-    return _checked(engine)
+    return _SCOPE.get()
 
 
 @contextlib.contextmanager
@@ -105,7 +96,9 @@ def use_engine(name):
     The previous selection is restored on exit; an unknown name raises
     LPError on entry.
     """
-    token = _SCOPE.set(_SCOPE.get() if name is None else _checked(name))
+    if name not in (None, "float", "exact"):
+        raise LPError(f"unknown LP engine {name!r} (expected 'float' or 'exact')")
+    token = _SCOPE.set(_SCOPE.get() if name is None else name)
     try:
         yield
     finally:
@@ -378,6 +371,15 @@ def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
     return x, abs(g), np.concatenate([-1.0 - t, -1.0 + t]) / 2, np.array([y])
 
 
+def _check_input(c, a_ub, b_ub, a_eq, b_eq):
+    """linprog's input checks, which both engines run before solving."""
+    if c.size == 0:
+        raise ValueError("LP has no variables")
+    for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"LP input {name} must not contain inf or nan")
+
+
 def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     """Minimize c.x over free x as linprog(method="highs") would, without it.
 
@@ -386,11 +388,7 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     its _check_result. The thread's one HiGHS instance solves it;
     `passModel` drops the previous model with its basis and solution.
     """
-    if c.size == 0:
-        raise ValueError("LP has no variables")
-    for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"LP input {name} must not contain inf or nan")
+    _check_input(c, a_ub, b_ub, a_eq, b_eq)
     n, m_ub = c.shape[0], b_ub.shape[0]
     a = np.vstack([a_ub, a_eq])
     inf = _highs.kHighsInf
@@ -484,185 +482,98 @@ ONE = Fraction(1)
 
 
 def _solve_exact(c, a_ub, b_ub, a_eq, b_eq, maximize):
-    cf = [Fraction(v) for v in c.tolist()]
-    if not maximize:
-        cf = [-v for v in cf]
-    rows = []
-    rels = []
-    for a, b in zip(a_ub.tolist(), b_ub.tolist()):
-        rows.append([Fraction(v) for v in a] + [Fraction(b)])
-        rels.append("<=")
-    for a, b in zip(a_eq.tolist(), b_eq.tolist()):
-        rows.append([Fraction(v) for v in a] + [Fraction(b)])
-        rels.append("==")
-    value, xs = _exact_simplex(cf, rows, rels)
+    _check_input(c, a_ub, b_ub, a_eq, b_eq)
+    sign = 1 if maximize else -1
+    cf = [sign * Fraction(v) for v in c.tolist()]
+    a = a_ub.tolist() + a_eq.tolist()
+    b = b_ub.tolist() + b_eq.tolist()
+    rows = [[Fraction(v) for v in row + [rhs]] for row, rhs in zip(a, b)]
+    value, xs = _exact_simplex(cf, rows, b_ub.shape[0])
     x = np.array([float(v) for v in xs], dtype=float)
-    val = value if maximize else -value
+    val = sign * value
     return LPResult(float(val), x, "exact", exact_value=val)
 
 
-def _exact_simplex(c, rows, rels):
-    """Maximize c.x, free x, rows of the form (coeffs, rhs) with <= or ==.
+def _exact_simplex(c, rows, n_le):
+    """Maximize c.x over free x subject to rows, each its coefficients
+    then its right-hand side: the first n_le are <= rows, the rest
+    equalities. Returns (optimal value, x) as Fractions.
 
-    Two-phase tableau simplex with Bland's rule. Free variables are split
-    into positive and negative parts. Returns (optimal value, x).
+    Two-phase tableau simplex with Bland's rule: the first column with a
+    positive reduced cost enters, and a ratio tie leaves the row of the
+    smallest basic column. Columns are x+ (n), x- (n), one slack per <=
+    row, then one artificial per equality row or row negated to make its
+    right-hand side nonnegative; each tableau row, and the objective row,
+    carries its right-hand side last.
     """
     n = len(c)
-    m = len(rows)
-    n_split = 2 * n
-    n_slack = sum(1 for r in rels if r == "<=")
-    # Column layout: [x+ (n), x- (n), slacks (n_slack), artificials (<= m)].
-    tab = []
-    basis = []
-    slack_at = {}
-    si = 0
-    for i, r in enumerate(rels):
-        if r == "<=":
-            slack_at[i] = n_split + si
-            si += 1
-    n_core = n_split + n_slack
-    art_cols = []
-    for i, (row, rel) in enumerate(zip(rows, rels)):
-        coeffs = row[:-1]
-        rhs = row[-1]
-        line = [ZERO] * n_core
-        for j, v in enumerate(coeffs):
-            line[j] = v
-            line[n + j] = -v
-        if rel == "<=":
-            line[slack_at[i]] = ONE
-        if rhs < 0:
+    core = 2 * n + n_le
+    arts = [i for i, row in enumerate(rows) if i >= n_le or row[-1] < 0]
+    tab, basis = [], []
+    for i, row in enumerate(rows):
+        line = row[:-1] + [-v for v in row[:-1]] + [ONE if k == i else ZERO for k in range(n_le)] + row[-1:]
+        if row[-1] < 0:
             line = [-v for v in line]
-            rhs = -rhs
-            flipped = True
-        else:
-            flipped = False
-        needs_art = rel == "==" or flipped
-        tab.append((line, rhs, needs_art, i))
+        line[-1:-1] = [ONE if i == a else ZERO for a in arts]
+        tab.append(line)
+        basis.append(core + arts.index(i) if i in arts else 2 * n + i)
 
-    # Attach artificial columns where a starting basic variable is missing.
-    matrix = []
-    rhs_col = []
-    for line, rhs, needs_art, i in tab:
-        matrix.append(list(line))
-        rhs_col.append(rhs)
-    total = n_core
-    for k, (line, rhs, needs_art, i) in enumerate(tab):
-        if needs_art:
-            col = total
-            total += 1
-            art_cols.append(col)
-            for r in range(m):
-                matrix[r].append(ONE if r == k else ZERO)
-            basis.append(col)
-        else:
-            basis.append(slack_at[i])
+    # Phase 1: maximize minus the sum of the artificials.
+    obj = [ZERO] * core + [-ONE] * len(arts) + [ZERO]
+    _optimize(tab, basis, obj)
+    if obj[-1] > 0:
+        raise LPInfeasible("exact LP infeasible")
+    # Pivot each artificial left in the basis, at level zero, onto a genuine
+    # column; a row with none is redundant and is dropped.
+    for r in [r for r, col in enumerate(basis) if col >= core]:
+        j = next((j for j in range(core) if tab[r][j]), None)
+        if j is not None:
+            _pivot(tab, basis, obj, r, j)
+    kept = [r for r, col in enumerate(basis) if col < core]
+    tab = [tab[r][:core] + tab[r][-1:] for r in kept]
+    basis = [basis[r] for r in kept]
 
-    # Phase 1: minimize the sum of artificials (maximize its negative).
-    if art_cols:
-        obj = [ZERO] * total
-        for col in art_cols:
-            obj[col] = -ONE
-        red = _reduced_row(obj, matrix, rhs_col, basis)
-        val = _pivot_until_opt(matrix, rhs_col, basis, red)
-        if val < 0:
-            raise LPInfeasible("exact LP infeasible")
-        _drive_out_artificials(matrix, rhs_col, basis, art_cols, n_core)
-        # Drop artificial columns, and any redundant row whose basic variable
-        # is still an artificial (necessarily at level zero).
-        keep = n_core
-        art = set(art_cols)
-        rows_keep = [r for r in range(len(basis)) if basis[r] not in art]
-        matrix = [matrix[r][:keep] for r in rows_keep]
-        rhs_col = [rhs_col[r] for r in rows_keep]
-        basis = [basis[r] for r in rows_keep]
-        total = keep
-
-    obj = [ZERO] * total
-    for j in range(n):
-        obj[j] = c[j]
-        obj[n + j] = -c[j]
-    red = _reduced_row(obj, matrix, rhs_col, basis)
-    _pivot_until_opt(matrix, rhs_col, basis, red)
+    obj = c + [-v for v in c] + [ZERO] * (n_le + 1)
+    _optimize(tab, basis, obj)
     x = [ZERO] * n
-    for r, col in enumerate(basis):
+    for line, col in zip(tab, basis):
         if col < n:
-            x[col] += rhs_col[r]
+            x[col] += line[-1]
         elif col < 2 * n:
-            x[col - n] -= rhs_col[r]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+            x[col - n] -= line[-1]
+    return -obj[-1], x
 
 
-def _reduced_row(obj, matrix, rhs_col, basis):
-    # Express the objective over the current basis: subtract basic rows.
-    red = list(obj) + [ZERO]
+def _optimize(tab, basis, obj):
+    """Price obj over the basis, then pivot by Bland's rule to an optimum.
+
+    Afterwards obj holds the reduced costs and minus the objective value
+    last. Raises LPUnbounded when an entering column has no positive entry.
+    """
     for r, col in enumerate(basis):
-        coef = red[col]
-        if coef != 0:
-            row = matrix[r]
-            for j in range(len(row)):
-                red[j] -= coef * row[j]
-            red[-1] -= coef * rhs_col[r]
-    return red
-
-
-def _pivot_until_opt(matrix, rhs_col, basis, red):
-    m = len(matrix)
-    width = len(matrix[0])
+        _eliminate(obj, tab[r], col)
     while True:
-        enter = -1
-        for j in range(width):
-            if red[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return -red[-1]
-        leave = -1
-        best = None
-        for r in range(m):
-            a = matrix[r][enter]
-            if a > 0:
-                ratio = rhs_col[r] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave < 0:
+        enter = next((j for j, v in enumerate(obj[:-1]) if v > 0), None)
+        if enter is None:
+            return
+        rows = [r for r, line in enumerate(tab) if line[enter] > 0]
+        if not rows:
             raise LPUnbounded("exact LP unbounded")
-        _pivot(matrix, rhs_col, basis, red, leave, enter)
+        leave = min(rows, key=lambda r: (tab[r][-1] / tab[r][enter], basis[r]))
+        _pivot(tab, basis, obj, leave, enter)
 
 
-def _pivot(matrix, rhs_col, basis, red, leave, enter):
-    piv_row = matrix[leave]
-    piv = piv_row[enter]
-    inv = ONE / piv
-    matrix[leave] = [v * inv for v in piv_row]
-    rhs_col[leave] = rhs_col[leave] * inv
-    piv_row = matrix[leave]
-    piv_rhs = rhs_col[leave]
-    for r in range(len(matrix)):
-        if r == leave:
-            continue
-        f = matrix[r][enter]
-        if f != 0:
-            matrix[r] = [v - f * w for v, w in zip(matrix[r], piv_row)]
-            rhs_col[r] -= f * piv_rhs
-    f = red[enter]
-    if f != 0:
-        for j in range(len(piv_row)):
-            red[j] -= f * piv_row[j]
-        red[-1] -= f * piv_rhs
-    basis[leave] = enter
+def _pivot(tab, basis, obj, r, j):
+    inv = ONE / tab[r][j]
+    tab[r] = [v * inv for v in tab[r]]
+    for line in tab + [obj]:
+        if line is not tab[r]:
+            _eliminate(line, tab[r], j)
+    basis[r] = j
 
 
-def _drive_out_artificials(matrix, rhs_col, basis, art_cols, n_core):
-    art = set(art_cols)
-    for r in range(len(basis)):
-        if basis[r] in art:
-            # Zero-level artificial: pivot on any genuine column, else the
-            # row is redundant and harmlessly stays (rhs is 0).
-            for j in range(n_core):
-                if matrix[r][j] != 0:
-                    dummy = [ZERO] * (len(matrix[r]) + 1)
-                    _pivot(matrix, rhs_col, basis, dummy, r, j)
-                    break
+def _eliminate(line, pivot, j):
+    """Subtract the multiple of pivot (with pivot[j] == 1) that zeroes line[j]."""
+    f = line[j]
+    if f:
+        line[:] = [v - f * p for v, p in zip(line, pivot)]

@@ -62,26 +62,23 @@ def prune_redundant_rows(space):
 
     Scan order is row order, so the result is deterministic. Zero rows go
     first, then each survivor is kept only if no representation by the
-    other live rows stays within total weight one.
+    other live rows stays within total weight one. One pass suffices:
+    dropping a row only shrinks the set later rows are represented over,
+    which cannot lower a least coefficient sum, so a kept row stays kept.
     """
     w = space.norming
     alive = [i for i in range(w.shape[0]) if np.max(np.abs(w[i])) > 1e-14]
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            others = [j for j in alive if j != i]
-            if len(others) < 1:
-                continue
-            try:
-                res = _least_coefficient_sum(w[others].T, w[i])
-            except LPInfeasible:
-                continue
-            if res.value <= 1.0 + 1e-9:
-                alive.remove(i)
-                changed = True
-    kept = sorted(alive)
-    return NormedSpace(w[kept], label=space.label), kept
+    for i in list(alive):
+        others = [j for j in alive if j != i]
+        if not others:
+            continue
+        try:
+            res = _least_coefficient_sum(w[others].T, w[i])
+        except LPInfeasible:
+            continue
+        if res.value <= 1.0 + 1e-9:
+            alive.remove(i)
+    return NormedSpace(w[alive], label=space.label), alive
 
 
 class ArrowChain:

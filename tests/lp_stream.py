@@ -70,7 +70,8 @@ def call_path():
     while frame is not None:
         module = frame.f_globals.get("__name__", "")
         if module.startswith("fraisse.") and module != "fraisse.lp":
-            names.append(f"{module[len('fraisse.'):]}.{frame.f_code.co_qualname}")
+            code = frame.f_code  # co_qualname from Python 3.11, co_name before
+            names.append(f"{module[len('fraisse.'):]}.{getattr(code, 'co_qualname', code.co_name)}")
         frame = frame.f_back
     return "/".join(reversed(names)) or "-"
 

@@ -1,6 +1,6 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no defaulted parameter that no call sets, and no benchmark tracer entry point
-that has gone missing."""
+no defaulted parameter that no call sets, no read of the environment, and no
+benchmark tracer entry point that has gone missing."""
 
 import ast
 import importlib
@@ -69,6 +69,18 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, f"private functions nothing in src/ references: {dead}"
+
+
+def test_no_environment_reads():
+    # settings such as the LP engine come from arguments and scopes only
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) in ("environ", "environb", "getenv", "getenvb")
+        or isinstance(node, ast.ImportFrom) and any(a.name.startswith(("environ", "getenv")) for a in node.names)
+    ]
+    assert not reads, f"src/fraisse reads the environment at {reads}"
 
 
 def _tracer_entry_points():

@@ -24,6 +24,7 @@ from fraisse.spaces import LinearMap, LinfSpace, NormedSpace, extend_morphism
 from fraisse.universal import prune_redundant_rows
 
 LINPROG_OUTCOMES = Path(__file__).parent / "data" / "linprog_lp_battery_11.json"
+EXACT_OUTCOMES = Path(__file__).parent / "data" / "exact_lp_battery_0.json"
 
 
 def test_box_maximum_closed_form():
@@ -68,16 +69,13 @@ def test_unknown_engine_rejected():
             solve_lp(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
 
 
-def test_engine_env_var(monkeypatch):
+def test_environment_does_not_select_the_engine(monkeypatch):
     monkeypatch.setenv("FRAISSE_LP_ENGINE", "exact")
-    assert current_engine() == "exact"
-    monkeypatch.setenv("FRAISSE_LP_ENGINE", "nonsense")
-    with pytest.raises(LPError):
-        current_engine()
+    assert current_engine() == "float"
+    assert solve_lp(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0])).engine == "float"
 
 
-def test_use_engine_scope_precedence_and_restore(monkeypatch):
-    monkeypatch.delenv("FRAISSE_LP_ENGINE", raising=False)
+def test_use_engine_scope_precedence_and_restore():
     assert current_engine() == "float"
     with use_engine("exact"):
         assert current_engine() == "exact"
@@ -89,13 +87,10 @@ def test_use_engine_scope_precedence_and_restore(monkeypatch):
                 raise RuntimeError
         assert current_engine() == "exact"
     assert current_engine() == "float"
-    monkeypatch.setenv("FRAISSE_LP_ENGINE", "exact")
-    with use_engine("float"):
-        assert current_engine() == "float"
     with pytest.raises(LPError):
         with use_engine("sympy"):
             pass
-    assert current_engine() == "exact"
+    assert current_engine() == "float"
 
 
 def test_engine_scope_reaches_every_solve(solves, tmp_path):
@@ -138,6 +133,42 @@ def test_exact_engine_returns_fractions():
     assert res.exact_value is not None
     assert float(res.exact_value) == res.value
     assert res.value == pytest.approx(3.0, abs=0.0)
+
+
+def _engine_outcomes(*args, maximize=True):
+    """solve_lp's value and x, or its exception type and message, on each engine."""
+    outcomes = []
+    for engine in ("float", "exact"):
+        try:
+            with use_engine(engine):
+                res = solve_lp(*args, maximize=maximize)
+        except (LPError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((res.value, res.x.tolist()))
+    return outcomes
+
+
+def test_exact_engine_without_rows_answers_as_float():
+    # the old simplex raised IndexError here: no rows, or none left after phase 1 (0.x = 0)
+    zero_row = (None, None, np.zeros((1, 2)), np.zeros(1))
+    for rows in [(), zero_row]:
+        assert _engine_outcomes(np.zeros(2), *rows) == [(0.0, [0.0, 0.0])] * 2
+        unbounded = _engine_outcomes(np.array([0.0, -1.0]), *rows, maximize=False)
+        assert unbounded == [(LPUnbounded, "LP unbounded"), (LPUnbounded, "exact LP unbounded")]
+
+
+def test_engines_refuse_the_same_input():
+    box, ones = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    for args, message in [
+        ((np.zeros(0),), "LP has no variables"),
+        ((np.array([np.inf, 1.0]), box, ones), "LP input c must not contain inf or nan"),
+        ((np.array([np.nan, 1.0]), box, ones), "LP input c must not contain inf or nan"),
+        ((np.ones(2), box, np.array([1.0, -np.inf, 1.0, 1.0])), "LP input b_ub must not contain inf or nan"),
+        ((np.ones(2), box, ones, [[1.0, np.inf]], [0.0]), "LP input a_eq must not contain inf or nan"),
+        ((np.ones(2), None, None, [[1.0, 1.0]], [np.nan]), "LP input b_eq must not contain inf or nan"),
+    ]:
+        assert _engine_outcomes(*args) == [(ValueError, message)] * 2, message
 
 
 def test_exact_matches_float_on_random_instances():
@@ -264,6 +295,70 @@ def test_direct_highs_matches_linprog(monkeypatch):
         assert d == _thawed(v), args
     kinds = {o if isinstance(o, type) else "solved" for o in direct}
     assert kinds == {"solved", LPInfeasible, LPUnbounded, ValueError}
+
+
+def _exact_battery(seed):
+    """`_lp_battery(seed)`, then small-integer LPs for the exact engine.
+
+    The integer LPs are degenerate on purpose: entries in {-1, 0, 1} and
+    mostly zero right-hand sides give ties in the ratio test, zero,
+    repeated and redundant rows, and LPs with no rows at all, where
+    Bland's rule and the removal of artificials decide the answer.
+    """
+    yield from _lp_battery(seed)
+    rng = np.random.default_rng(seed)
+
+    def ints(*shape):
+        return rng.integers(-1, 2, size=shape).astype(float)
+
+    def rhs(m):
+        return rng.choice([0.0, 0.0, 1.0, -1.0], size=m)
+
+    for _ in range(1000):
+        n, m_ub, m_eq = int(rng.integers(1, 6)), int(rng.integers(0, 9)), int(rng.integers(0, 3))
+        yield ints(n), ints(m_ub, n), rhs(m_ub), ints(m_eq, n), rhs(m_eq), bool(rng.integers(2))
+    yield np.zeros(2), None, None, None, None, True  # no rows: optimal at 0
+    yield np.zeros(2), None, None, np.zeros((1, 2)), np.zeros(1), False  # phase 1 drops 0.x = 0
+    yield np.array([1.0, 0.0]), None, None, np.zeros((1, 2)), np.zeros(1), True  # ... unbounded
+    yield np.array([np.inf]), np.ones((1, 1)), np.ones(1), None, None, True
+
+
+def _exact_outcomes(battery, monkeypatch):
+    """What the exact engine gives on each LP: the exact value and x, or the exception name."""
+    simplex, points = lp._exact_simplex, []
+
+    def spy(*args):
+        value, x = simplex(*args)
+        points.append(x)
+        return value, x
+
+    monkeypatch.setattr(lp, "_exact_simplex", spy)
+    out = []
+    for c, a_ub, b_ub, a_eq, b_eq, maximize in battery:
+        try:
+            with use_engine("exact"):
+                res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+        except (LPError, ValueError, IndexError, OverflowError) as exc:  # the old simplex's too
+            out.append({"raises": type(exc).__name__})
+        else:
+            out.append({"value": str(res.exact_value), "x": [str(v) for v in points[-1]]})
+    return out
+
+
+def test_exact_simplex_matches_its_frozen_outcomes(monkeypatch):
+    frozen = json.loads(EXACT_OUTCOMES.read_text())
+    battery = list(_exact_battery(0))
+    assert _battery_digest(battery) == frozen["battery_sha256"]
+    new = _exact_outcomes(battery, monkeypatch)
+    for args, mine, old in zip(battery, new, frozen["outcomes"], strict=True):
+        if old.get("raises") in ("IndexError", "OverflowError"):
+            # the old simplex failed on no rows and non-finite input: now the float engine's outcome type
+            fl = _outcome(args)
+            assert mine.get("raises", "solved") == (fl.__name__ if isinstance(fl, type) else "solved"), args
+        else:
+            assert mine == old, args
+    kinds = {o.get("raises", "solved") for o in frozen["outcomes"]}
+    assert kinds == {"solved", "LPInfeasible", "LPUnbounded", "IndexError", "ValueError", "OverflowError"}
 
 
 def _separable_battery(seed):
@@ -503,8 +598,7 @@ def test_reused_instance_answers_as_a_fresh_one():
             assert _highs_outcome(battery[i]) == fresh[i], (seed, i)
 
 
-def test_threads_solve_on_their_own_instance(monkeypatch):
-    monkeypatch.delenv("FRAISSE_LP_ENGINE", raising=False)
+def test_threads_solve_on_their_own_instance():
     battery = _highs_battery()
     serial = [_highs_outcome(args) for args in battery]
     both_in_scope = threading.Barrier(2, timeout=60)

@@ -156,7 +156,7 @@ def _coords_in(basis, vectors, what):
         raise ValueError(f"{what}: generators do not lie in the constructed span (residual {resid:.3e})")
     return sol
 
-def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None):
+def approx_pushout(phi, f, delta, modulus=BANACH, extra_pairs=None):
     """Push f: X -> Y out along the almost-embedding phi: X -> Xhat.
 
     The witness family holds one scalar pair per norming row h of Y: a
@@ -170,8 +170,6 @@ def approx_pushout(phi, f, delta=None, modulus=BANACH, extra_pairs=None):
     """
     if phi.dom.dim != f.dom.dim:
         raise ValueError("phi and f must share their domain")
-    if delta is None:
-        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
     if phi.distortion() > delta + MORPHISM_TOL:
@@ -252,12 +250,10 @@ class ArrowMorphism:
 
 
 class ArrowPushoutResult:
-    def __init__(self, shat, fhat, j, d0, d1, defect, delta):
+    def __init__(self, shat, fhat, j, defect, delta):
         self.shat = shat
         self.fhat = fhat
         self.j = j
-        self.d0 = d0
-        self.d1 = d1
         self.defect = defect
         self.delta = delta
 
@@ -297,7 +293,7 @@ def _recheck_arrow(inputs):
     return max(d0, d1)
 
 
-def arrow_pushout(phi, f, delta=None):
+def arrow_pushout(phi, f, delta):
     """Amalgamate the arrows phi.dst and f.dst over their common source arrow.
 
     phi: T -> That with arrow distortion <= delta, f: T -> S an exact
@@ -313,8 +309,6 @@ def arrow_pushout(phi, f, delta=None):
         phi.src.dom.dim != f.src.dom.dim or phi.src.cod.dim != f.src.cod.dim
     ):
         raise ValueError("phi and f must start at the same arrow")
-    if delta is None:
-        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
     if f.square_defect() > MORPHISM_TOL:
@@ -339,4 +333,4 @@ def arrow_pushout(phi, f, delta=None):
     fhat = ArrowMorphism(phi.dst, shat, base_d0.fhat, d1.fhat)
     j = ArrowMorphism(f.dst, shat, base_d0.j, d1.j)
     defect = max(base_d0.defect, d1.defect)
-    return ArrowPushoutResult(shat, fhat, j, base_d0, d1, defect, delta)
+    return ArrowPushoutResult(shat, fhat, j, defect, delta)

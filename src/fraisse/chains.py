@@ -65,15 +65,14 @@ class MorphismNet:
 
     certified means every contraction is within resolution (operator
     distance) of some member; a sampled net only promises the members it
-    has. pitch is the grid spacing the guarantee was derived from.
+    has.
     """
 
-    def __init__(self, source, target, members, resolution, pitch, certified, total, seed):
+    def __init__(self, source, target, members, resolution, certified, total, seed):
         self.source = source
         self.target = target
         self.members = members
         self.resolution = resolution
-        self.pitch = pitch
         self.certified = certified
         self.total = total
         self.seed = seed
@@ -133,7 +132,7 @@ def build_morphism_net(source, target, resolution, cap=2000, seed=0, require_cer
         full = float(len(rows)) ** target.dim
         if full <= cap:
             members = [np.array(pick) for pick in itertools.product(rows, repeat=target.dim)]
-            return MorphismNet(source, target, members, resolution, pitch, True, len(members), seed)
+            return MorphismNet(source, target, members, resolution, True, len(members), seed)
         if require_certified:
             raise ResourceLimitError(
                 f"certified net needs {full:.0f} members, cap is {cap}"
@@ -149,7 +148,7 @@ def build_morphism_net(source, target, resolution, cap=2000, seed=0, require_cer
                 continue
             seen.add(key)
             members.append(np.array([rows[i] for i in pick]))
-        return MorphismNet(source, target, members, resolution, pitch, False, total, seed)
+        return MorphismNet(source, target, members, resolution, False, total, seed)
     if require_certified:
         raise ResourceLimitError(
             f"certified net needs {total:.0f} members ({row_total} rows), cap is {cap}"
@@ -169,7 +168,7 @@ def build_morphism_net(source, target, resolution, cap=2000, seed=0, require_cer
         seen.add(key)
         if all(_row_ok(r) for r in mat):
             members.append(mat)
-    return MorphismNet(source, target, members, resolution, pitch, False, total, seed)
+    return MorphismNet(source, target, members, resolution, False, total, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,7 @@ def _walk(pools, reached):
         yield from reached[s]
 
 
-def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, seed=0, extend_per_step=4):
+def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, *, seed, extend_per_step=4):
     """Deterministic finite approximation of the universal separable stage tower.
 
     The tower starts at linf^START_DIM, draws its morphism nets with at
@@ -413,8 +412,6 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, seed=0, extend_p
             if n_f > step_growth:
                 continue
             delta = max(dphi, df)
-            if delta > 0.5:
-                continue
             f_z = lift @ f
             try:
                 res = nap_amalgamate(f_z, phi, delta=max(delta, 1e-12))
@@ -433,8 +430,6 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, seed=0, extend_p
         stages.append(z)
 
         for (source, f, kk, phi, m, delta), g in pending:
-            if g.cod.dim != z.dim:
-                raise RuntimeError("fold bookkeeping broke")
             defect = map_dist(g @ phi, lift @ f)
             records.append(
                 _record(source, f, kk, phi, g, m, "amalgam", delta, defect, g.distortion())
@@ -555,7 +550,7 @@ def _recheck_extension(inputs):
     return map_dist(g @ phi, f)
 
 
-def certify_extension(chain, phi, f, k, delta=None):
+def certify_extension(chain, phi, f, k, delta):
     """Find and certify g: F -> top stage with g . phi close to the lift of f.
 
     Four candidate routes: plain extension along phi (defect bound
@@ -569,8 +564,6 @@ def certify_extension(chain, phi, f, k, delta=None):
     """
     modulus = modulus_from_json(chain.params["modulus"])
     m = chain.depth
-    if delta is None:
-        delta = max(phi.distortion(), f.distortion())
     j = chain.connecting(k, m)
     f_top = j @ f
     bound = modulus(delta) + SLACK
@@ -660,7 +653,7 @@ def _recheck_baf(inputs):
     return max(map_dist(u @ f, g), map_dist(v @ g, f))
 
 
-def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8):
+def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
     """Alternating correction scheme between two embeddings of one space.
 
     Produces contractions u, v between the top stage and itself with
@@ -672,8 +665,6 @@ def back_and_forth(chain, f, kf, g, kg, delta=None, rounds=8):
     every entry is a measured quantity.
     """
     modulus = modulus_from_json(chain.params["modulus"])
-    if delta is None:
-        delta = max(f.distortion(), g.distortion())
     top = chain.top
     f_top = chain.connecting(kf, chain.depth) @ f
     g_top = chain.connecting(kg, chain.depth) @ g
@@ -764,7 +755,10 @@ def nuclearity_witness(space):
     first minimize the operator norm of a left inverse (exactly linear
     since the domain is a coordinate space: one absolute row sum per
     functional row of the target), and if the minimum exceeds one,
-    re-solve for the least identity defect among exact contractions.
+    re-solve for the least identity defect among exact contractions. The
+    witness carries that minimum, or the measured operator norm of the
+    contraction, as norm_bound, and the measured identity defect of
+    rho . gamma.
     """
     if space.is_linf:
         ident = LinearMap.identity(space)
@@ -797,14 +791,11 @@ def nuclearity_witness(space):
         res = lp.solve(t)
         return res.x[rho], res.value
 
-    mat, norm_val = _solve(None)
-    if norm_val <= 1.0 + 1e-9:
-        rho = LinearMap(gamma.cod, space, mat)
-        comp = rho @ gamma
-        defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space))
-        return FactorizationWitness(gamma, rho, big, norm_val, defect)
-    mat, defect_val = _solve(1.0)
+    mat, norm_bound = _solve(None)
     rho = LinearMap(gamma.cod, space, mat)
+    if norm_bound > 1.0 + 1e-9:
+        rho = LinearMap(gamma.cod, space, _solve(1.0)[0])
+        norm_bound = rho.op_norm()
     comp = rho @ gamma
     defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space))
-    return FactorizationWitness(gamma, rho, big, rho.op_norm(), defect)
+    return FactorizationWitness(gamma, rho, big, norm_bound, defect)

@@ -196,6 +196,10 @@ def _cmd_universal_state(args):
 
 
 def _cmd_minimality(args):
+    if not args.eps > 0:
+        raise ValueError(f"--eps must be positive, got {args.eps}")
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     rng = np.random.default_rng(args.seed)
     eta = args.eps / (2.0 * args.d)
     m = int(np.ceil(1.0 / eta)) + args.d

@@ -143,10 +143,6 @@ class LinearMap:
 
     def __init__(self, dom, cod, matrix):
         m = np.array(matrix, dtype=float)
-        if m.ndim == 0:
-            m = m.reshape(1, 1)
-        if m.ndim == 1:
-            m = m.reshape(cod.dim, dom.dim)
         if m.shape != (cod.dim, dom.dim):
             raise ValueError(f"matrix shape {m.shape} does not match cod {cod.dim} x dom {dom.dim}")
         if not np.all(np.isfinite(m)):
@@ -173,9 +169,6 @@ class LinearMap:
         if other.dom.dim != self.dom.dim or other.cod.dim != self.cod.dim:
             raise ValueError("maps live on different spaces")
         return LinearMap(self.dom, self.cod, self.matrix - other.matrix)
-
-    def __neg__(self):
-        return LinearMap(self.dom, self.cod, -self.matrix)
 
     def scale(self, t):
         return LinearMap(self.dom, self.cod, float(t) * self.matrix)
@@ -288,7 +281,7 @@ def hahn_banach_extend(j, g, c, check=True):
     return h, lam
 
 
-def extend_morphism(phi, f, delta=None, modulus=BANACH, check=True):
+def extend_morphism(phi, f, delta, modulus=BANACH, check=True):
     """Extend f through the near-isometry phi into an injective target.
 
     phi: X -> Xhat with distortion <= delta < 1, f: X -> A a contraction
@@ -302,8 +295,6 @@ def extend_morphism(phi, f, delta=None, modulus=BANACH, check=True):
     target = f.cod
     if not target.is_linf:
         raise ValueError("extend_morphism needs an injective (identity-normed) target")
-    if delta is None:
-        delta = phi.distortion()
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1: phi is not invertible enough to extend along")
     if check:
@@ -371,12 +362,8 @@ def tuple_dist_upper(a, b):
         cands.append(base.scale(t))
     best = math.inf
     for f in cands:
-        if f.op_norm() > 1.0 + MORPHISM_TOL:
-            continue
         score = max(f.distortion(), tuple_image_dist(f, a, b.vectors))
         best = min(best, score)
-    if not math.isfinite(best):
-        return math.inf
     return BANACH(best) + best
 
 

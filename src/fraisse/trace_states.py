@@ -7,8 +7,8 @@ isometric, and pulling s back through it lands near t as soon as the
 block of s's density matrix sitting under the x-slot is light. A finite
 projector family makes lightness countable: for each test projector at
 most ell blocks can weigh 1/ell or more, so with k = ell |P| + 1 blocks
-a fully light one exists by counting alone, and the scan that finds it
-rechecks the winner against the density matrix from scratch.
+a fully light one exists by counting alone, and the scan returns the
+first block that passes every test.
 
 Orientation: the compression goes from the big algebra down to M_d.
 The pulled-back functional s . phi is the object compared against t;
@@ -182,10 +182,11 @@ def find_light_block(rho, d, ell):
             f"need at least {ell * len(family) + 1} blocks for the counting argument, have {k}"
         )
     thresh = 1.0 / ell
+    # the loop always returns: were every block heavy, some test p would be
+    # heavy on ell + 1 of them, and their traces against p would exceed one
     for j, b in enumerate(blocks):
         if max(float(np.trace(b @ p).real) for p in family) < thresh:
             return j, b
-    raise RuntimeError("no light block found; the counting argument was violated")
 
 
 class MatrixEmbedding:
@@ -275,25 +276,21 @@ def _recheck_matrix_defect(inputs):
     return _sampled_defect(block, t_state, int(inputs["seed"]), int(inputs["samples"]))
 
 
-def minimal_embedding(s_state, t_state, eps=None, ell=None, seed=0, samples=1000):
+def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
     """Embed M_d into M_{kd} carrying t almost onto the restriction of s.
 
     Takes the state s on the big algebra and the target t on the small
-    one; ell = ceil(16/eps) sets the lightness scale and the big algebra
-    must have at least ell |P| + 1 blocks. The embedding is exactly
-    unital, self-adjoint and isometric (the operator norm of
-    diag(x, t(x) I) is max(||x||, |t(x)|) = ||x||); the certificate
-    freezes the seeded sampled defect of the pulled-back state against t,
-    which depends on the density matrix only through the light block.
+    one; ell sets the lightness scale, the certificate's bound is 16/ell
+    (so ell = ceil(16/eps) certifies eps), and the big algebra must have
+    at least ell |P| + 1 blocks of size d, which find_light_block checks.
+    The embedding is exactly unital, self-adjoint and isometric (the
+    operator norm of diag(x, t(x) I) is max(||x||, |t(x)|) = ||x||); the
+    certificate freezes the seeded sampled defect of the pulled-back
+    state against t, which depends on the density matrix only through
+    the light block.
     """
-    if (eps is None) == (ell is None):
-        raise ValueError("give exactly one of eps, ell")
-    if ell is None:
-        ell = int(np.ceil(16.0 / eps))
     d = t_state.dim
     k = s_state.dim // d
-    if s_state.dim % d != 0:
-        raise ValueError("big algebra dimension must be a multiple of d")
     j, block = find_light_block(s_state.density, d, ell)
     block_norm = float(np.max(np.abs(np.linalg.eigvalsh((block + block.conj().T) / 2.0))))
     block_trace = float(np.trace(block).real)

@@ -244,7 +244,7 @@ def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
     return PoulsenStep(grown, phi, idx, margin, cert)
 
 
-def build_poulsen_chain(depth, targets_per_step=1, seed=0):
+def build_poulsen_chain(depth, targets_per_step=1, *, seed):
     """Seeded tower of function systems with progressively denser extreme rows.
 
     Starts from the two point simplex system; each step draws mixture
@@ -319,10 +319,9 @@ def build_poulsen_chain(depth, targets_per_step=1, seed=0):
 
 
 class MinimalityResult:
-    def __init__(self, phi, defect, eta, block_mass, certificate):
+    def __init__(self, phi, defect, block_mass, certificate):
         self.phi = phi
         self.defect = defect
-        self.eta = eta
         self.block_mass = block_mass
         self.certificate = certificate
 
@@ -336,7 +335,7 @@ def _recheck_minimality(inputs):
     return float(np.sum(np.abs(pulled - s)))
 
 
-def minimality_map(s, t, eps=None):
+def minimality_map(s, t, eps):
     """Unital isometry of coordinate systems pulling the state t back near s.
 
     s lives on d coordinates, t on m. The map replicates the functional
@@ -345,20 +344,18 @@ def minimality_map(s, t, eps=None):
     with no tolerance. The d lightest atoms of t ride the identity block
     (matched to the weights of s by exhausting the d! assignments), hence
     the pullback error is at most twice their mass; with
-    eta = eps / (2 d) and m at least ceil(1/eta) + d that mass is under
-    d * eta and the pullback lands within eps of s. The error is the dual
-    norm of the difference, computed both in closed form and by LP.
+    eta = eps / (2 d) and m at least ceil(1/eta) + d, which is checked,
+    that mass is under d * eta and the pullback lands within eps of s,
+    the certificate's bound. The error is the dual norm of the
+    difference, computed both in closed form and by LP.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     d, m = s.shape[0], t.shape[0]
-    if eps is not None:
-        eta = eps / (2.0 * d)
-        need = int(np.ceil(1.0 / eta)) + d
-        if m < need:
-            raise ValueError(f"need at least {need} output coordinates for eps={eps}, got {m}")
-    else:
-        eta = None
+    eta = eps / (2.0 * d)
+    need = int(np.ceil(1.0 / eta)) + d
+    if m < need:
+        raise ValueError(f"need at least {need} output coordinates for eps={eps}, got {m}")
     if np.min(s) < -1e-12 or abs(np.sum(s) - 1.0) > 1e-9:
         raise ValueError("s must be a probability vector")
     if np.min(t) < -1e-12 or abs(np.sum(t) - 1.0) > 1e-9:
@@ -388,11 +385,10 @@ def minimality_map(s, t, eps=None):
     lp_val = dom.dual_norm(pulled - s)
     if abs(closed - lp_val) > 1e-7:
         raise RuntimeError(f"dual norm disagreement: closed {closed} vs LP {lp_val}")
-    bound = eps if eps is not None else 2.0 * block_mass
     inputs = {"s": fmt_vector(s), "t": fmt_vector(t), "phi": map_to_json(phi)}
-    cert = Certificate("minimality_defect", inputs, bound, closed, tol=1e-9,
+    cert = Certificate("minimality_defect", inputs, eps, closed, tol=1e-9,
                        payload={"block_mass": fmt_real(block_mass)})
-    return MinimalityResult(phi, closed, eta, block_mass, cert)
+    return MinimalityResult(phi, closed, block_mass, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def _fold_obligation(stage, i, c, beta, gamma, grow_cod):
     return phi, f
 
 
-def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, seed=0):
+def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, *, seed):
     """Grow one contraction that realizes its own recorded extension templates.
 
     Each step folds one template (new domain direction with seeded mixing
@@ -291,7 +291,7 @@ def image_distance(t, y):
     return max(lp.solve(dist).value, 0.0)
 
 
-def surjectivity_defect(chain, probes=20, base_stage=0, seed=0):
+def surjectivity_defect(chain, probes, base_stage, seed):
     """Worst probe distance to the image ball, per stage, for lifted probes.
 
     Probes are seeded unit sphere points of the base stage codomain. Legs
@@ -418,7 +418,7 @@ def check_universal_operator_property(chain, l_map, eps, hints=None):
     return UniversalCheckResult(alpha0, alpha1, defect, d0, d1, eps, passed, via=via)
 
 
-def check_universal_projection_property(chain, p_map, eps, hints=None):
+def check_universal_projection_property(chain, p_map, eps, hints):
     """Absorption check for a surjective test contraction (a quotient item).
 
     Same search as the operator check, and additionally requires the test
@@ -437,7 +437,7 @@ def check_universal_projection_property(chain, p_map, eps, hints=None):
     return result
 
 
-def generate_operator_battery(chain, count=10, eps=0.2):
+def generate_operator_battery(chain, count, eps):
     """Frozen test items replayed from the tower's own fold records.
 
     Each record contributed a template: the anchored scale c with a fresh
@@ -591,7 +591,7 @@ class StateChain:
         return content_hash(canonical_dumps(self.to_json()))
 
 
-def build_universal_state_chain(depth, seed=0):
+def build_universal_state_chain(depth, seed):
     """The dense-boundary tower with a state pulled back through retractions.
 
     The connective of each growth step appends coordinates, so dropping

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fraisse import chains
 from fraisse.certify import parse_real, verify_certificate
 from fraisse.chains import (
     ResourceLimitError,
@@ -57,6 +58,14 @@ def test_net_sampling_fallback():
     net = build_morphism_net(LinfSpace(2), LinfSpace(2), resolution=0.25, cap=50)
     assert not net.certified
     assert len(net) <= 50
+
+
+def test_net_sampling_skips_repeated_draws():
+    # 60 of the 81 grid maps linf^1 -> linf^2, drawn with repeats
+    net = build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=1.0, cap=60)
+    assert not net.certified and net.total == 81
+    assert len(net) == 60
+    assert len({m.tobytes() for m in net.members}) == 60
 
 
 def test_net_bad_resolution():
@@ -142,6 +151,15 @@ def test_quota_met_at_a_source_boundary_filters_no_further(solves):
     assert solves["float"] <= 100
 
 
+def test_fold_skips_a_source_too_large_for_the_step(monkeypatch):
+    # from linf^2, a linf^2 source needs two new dimensions; dim_cap 3 grants one
+    monkeypatch.setattr(chains, "START_DIM", 2)
+    monkeypatch.setattr(chains, "_source_pool", lambda rng: [LinfSpace(2)])
+    chain = build_gurarij_chain(depth=1, dim_cap=3, seed=0)
+    assert [s.dim for s in chain.stages] == [2, 2]
+    assert {rec["mode"] for rec in chain.records} == {"extend"}
+
+
 def test_certify_extension_and_certificate(small_chain):
     chain = small_chain
     k = 1
@@ -197,3 +215,18 @@ def test_nuclearity_witness_presented_space():
     assert cert.passed
     ok, _ = verify_certificate(cert)
     assert ok
+
+
+def test_nuclearity_witness_contraction_fallback():
+    # every left inverse of the presentation has norm above one, so rho is
+    # the contraction nearest to one, with its measured norm as the bound
+    r = 1.0 / 1.5
+    sp = NormedSpace([[1.0, 0.0], [0.0, 1.0], [r, r], [r, -r]])
+    w = nuclearity_witness(sp)
+    assert w.through_dim == 4
+    assert w.norm_bound == pytest.approx(1.0, abs=1e-9)
+    assert w.defect == pytest.approx(1.0 / 6.0, abs=1e-9)
+    assert w.rho.op_norm() <= 1.0 + 1e-9
+    ok, again = verify_certificate(w.certificate(sp))
+    assert ok
+    assert again == pytest.approx(w.defect, abs=1e-12)

@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no defaulted parameter that no call sets, no read of the environment, and no
-benchmark tracer entry point that has gone missing."""
+no defaulted parameter that no call sets or that every call sets, no stored
+attribute that nothing reads, no read of the environment, and no benchmark
+tracer entry point that has gone missing."""
 
 import ast
 import importlib
@@ -173,3 +174,45 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         )
     ]
     assert not dead, f"defaulted parameters no call in src/, tests/, bench/ or demos/ sets: {dead}"
+
+
+def test_every_default_is_relied_on_by_some_call():
+    # a default every call overrides is a required parameter in disguise,
+    # and the code that only it reaches is dead; a call with *args or
+    # **kwargs may rely on any default, so it counts for all of them
+    calls = _calls_by_name()
+    unused = [
+        f"{module}:{func.lineno} {func.name}({name})"
+        for module, func, name, position in _defaulted_parameters()
+        if not any(
+            npos is None or kws is None or (name not in kws and (position is None or npos <= position))
+            for npos, kws in calls.get(func.name, [])
+        )
+    ]
+    assert not unused, f"defaults no call in src/, tests/, bench/ or demos/ relies on: {unused}"
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute an __init__ stores and nothing reads is a dead output;
+    # reads are attribute loads anywhere in src/, tests/, bench/ or demos/
+    stored = [
+        (module, cls.name, target.attr)
+        for module, tree in _modules().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+    ]
+    read = {
+        node.attr
+        for folder in ("src", "tests", "bench", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f"{module} {cls}.{attr}" for module, cls, attr in stored if attr not in read]
+    assert not unread, f"attributes stored but never read: {unread}"

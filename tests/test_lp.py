@@ -210,6 +210,45 @@ def test_check_float_solution_rejects_non_finite(bad):
         lp._check_float_solution(**parts, **lp_data)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"x": np.array([1.5])}, "equality residual"), ({"y_eq": np.array([2.0])}, "duality gap")],
+)
+def test_check_float_solution_rejects_infeasible_or_suboptimal(bad, message):
+    # x = 1.5 meets -x <= -1 but not x = 1; the dual 2.0 leaves a gap of 1
+    lp_data = {"a_ub": [[-1.0]], "b_ub": [-1.0], "a_eq": [[1.0]], "b_eq": [1.0]}
+    lp_data = {k: np.array(v) for k, v in lp_data.items()}
+    parts = {"x": np.array([1.0]), "fun": 1.0, "y_ub": np.array([0.0]), "y_eq": np.array([1.0])}
+    with pytest.raises(LPError, match=message):
+        lp._check_float_solution(**{**parts, **bad}, **lp_data)
+
+
+class _ShiftedRows:
+    """A HiGHS instance whose solutions report every row activity 1 too high."""
+
+    def __init__(self, highs):
+        self._highs = highs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getSolution(self):
+        sol = self._highs.getSolution()
+        sol.row_value = list(np.array(sol.row_value) + 1.0)
+        return sol
+
+
+def test_run_highs_checks_the_rows_it_reports(monkeypatch):
+    # linprog's _check_result: a solution whose rows break their bounds is refused
+    box = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    none = np.zeros((0, 2)), np.zeros(0)
+    assert lp._run_highs(-np.ones(2), *box, *none)[0].tolist() == [1.0, 1.0]
+    highs = lp._thread_highs()
+    monkeypatch.setattr(lp, "_thread_highs", lambda: _ShiftedRows(highs))
+    with pytest.raises(LPError, match="beyond linprog's tolerance"):
+        lp._run_highs(-np.ones(2), *box, *none)
+
+
 def _lp_battery(seed):
     """Seeded (c, a_ub, b_ub, a_eq, b_eq, maximize): solvable, infeasible, unbounded, bad input."""
     rng = np.random.default_rng(seed)
@@ -406,6 +445,10 @@ def _separable_battery(seed):
     yield np.array([-1.0]), np.array([[1.0], [-1.0]]), np.array([1e-20, 1.0])
     b = np.array([0.0, 2.8131098533270517e-05, 0.0])
     yield np.array([0.0]), np.array([[1.0], [-828.0], [1.0]]), b
+    # as many nonzeros as rows, but a zero row beside one with two
+    yield np.array([-1.0, -1.0]), np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.ones(4)
+    # coefficient and right-hand side in range, their bound b / a = 5e6 not
+    yield np.array([-1.0]), np.array([[2e-6], [-1.0]]), np.array([10.0, 1.0])
 
 
 def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
@@ -418,7 +461,7 @@ def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
             served += 1
             highs = lp._run_highs(cost, a_ub, b_ub, *none)[0]
             assert closed[0].tobytes() == highs.tobytes(), (cost, a_ub, b_ub, closed[0], highs)
-    assert served >= 50  # exercised, not only bypassed (89 of 308 at seed 5)
+    assert served >= 50  # exercised, not only bypassed (89 of 312 at seed 5)
     # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
     args = [(cost, a_ub, b_ub, None, None, False) for cost, a_ub, b_ub in battery]
     with_closed_form = [_outcome(a) for a in args]
@@ -437,6 +480,9 @@ def test_closed_form_leaves_equality_rows_and_near_ties_to_highs():
     near = np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, 1.0 - 1e-9, 1.0])
     assert lp._run_highs(np.array([-1.0]), *near, *none)[0].tolist() == [1.0]
     assert lp._solve_separable(np.array([-1.0]), *near, *none) is None
+    # 2e-6 x <= 10 bounds x by 5e6, above 1 / near, from a and b that are not
+    huge = np.array([[2e-6], [-1.0]]), np.array([10.0, 1.0])
+    assert lp._solve_separable(np.array([-1.0]), *huge, *none) is None
 
 
 def test_linf1_op_norm_never_calls_highs(monkeypatch):

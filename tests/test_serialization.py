@@ -1,6 +1,9 @@
 """Canonical JSON, certificate fidelity, and the command line surface."""
 
 import json
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +158,25 @@ def test_cli_certify_extension_verify_roundtrip(tmp_path, capsys):
     assert "faithful True" in out
 
 
+def test_cli_homogeneity_certificate_verifies(tmp_path, capsys):
+    rc = main(["homogeneity", "--depth", "1", "--seed", "0", "--rounds", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    cert = next(tmp_path.glob("homogeneity-cert-*.json"))
+    assert f"certificate {cert}" in capsys.readouterr().out
+    assert main(["verify", str(cert)]) == 0
+    assert "back_and_forth_defect" in capsys.readouterr().out
+
+
+def test_cli_runs_as_a_module(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fraisse", "check-face"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: fraisse.cli is imported already
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("fraisse.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("[pass] facial_quotient")
+
+
 def test_cli_verify_missing_file_is_resource_error(tmp_path):
     rc = main(["verify", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -183,6 +205,19 @@ def test_cli_check_face_and_biface_defaults(capsys):
     assert out.count("[pass]") == 2
 
 
+def test_cli_check_face_input(tmp_path, capsys):
+    # the default instance read from a file, then a dominating sample that fails
+    payload = {"system": system_to_json(simplex_system(3)), "p": [[1.0, 0.0, 0.0]], "y": [0.0, 1.0, 0.0]}
+    path = tmp_path / "face.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check-face", "--input", str(path)]) == 0
+    payload["y"] = [1.0, 0.0, 0.0]
+    path.write_text(json.dumps(payload))
+    assert main(["check-face", "--input", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["[pass]", "[FAIL]"]
+
+
 def test_cli_check_biface_negative_instance(tmp_path, capsys):
     payload = {
         "space": np.eye(3).tolist(),
@@ -201,6 +236,17 @@ def test_cli_minimality(capsys):
     rc = main(["minimality", "--d", "2", "--eps", "0.5", "--trials", "5", "--seed", "1"])
     assert rc == 0
     assert "[pass]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--eps", "0"], "--eps must be positive"), (["--eps", "-1"], "--eps must be positive"), (["--d", "0"], "--d must be at least 1")],
+)
+def test_cli_minimality_rejects_bad_arguments(args, message, capsys):
+    rc = main(["minimality", *args, "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 def test_cli_matrix_minimality_small(tmp_path, capsys):

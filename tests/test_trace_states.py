@@ -47,6 +47,10 @@ def test_expectation_is_real_on_hermitian():
     assert abs(val) <= 1.0 + 1e-12
     state = MatrixState(rho)
     assert state(x) == val
+    # a raw matrix is checked into a density matrix first
+    assert MatrixState(rho.matrix)(x) == val
+    with pytest.raises(ValueError, match="not 1"):
+        MatrixState(np.eye(3))
     assert state(np.eye(3, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -162,13 +166,12 @@ def test_pullback_defect_depends_only_on_block():
 
 
 def test_minimal_embedding_argument_validation():
+    # a big algebra that is not made of d x d blocks is refused up front
     rng = np.random.default_rng(101)
-    s = MatrixState(random_density(4, rng))
+    s = MatrixState(random_density(2 * 25 + 1, rng))
     t = MatrixState(random_density(2, rng))
-    with pytest.raises(ValueError, match="exactly one"):
-        minimal_embedding(s, t)
-    with pytest.raises(ValueError, match="exactly one"):
-        minimal_embedding(s, t, eps=1.0, ell=16)
+    with pytest.raises(ValueError, match="not a multiple of the block size 2"):
+        minimal_embedding(s, t, ell=2)
 
 
 def test_minimal_embedding_small_scale():

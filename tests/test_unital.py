@@ -188,6 +188,9 @@ def test_kernel_basis_shapes_and_signs():
         nz = np.nonzero(np.abs(c) > 1e-12)[0]
         assert c[nz[0]] > 0
     assert kernel_basis(np.eye(3)).shape == (3, 0)
+    # here the SVD's first kernel vector leads with a negative entry
+    s = np.sqrt(0.5)
+    assert np.allclose(kernel_basis(np.array([[1.0, 1.0, 0.0]])), [[s, 0.0], [-s, 0.0], [0.0, 1.0]])
 
 
 def test_biface_counterexample_on_skew_kernel():
@@ -212,3 +215,5 @@ def test_biface_counterexample_absent_for_coordinate_kernel():
     space = LinfSpace(2)
     p = np.array([[1.0, 0.0]])
     assert find_biface_counterexample(space, p, eps=0.25) is None
+    # a trivial kernel has nothing to test
+    assert find_biface_counterexample(space, np.eye(2), eps=0.25) is None

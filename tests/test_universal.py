@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraisse.certify import canonical_dumps, parse_real, verify_certificate
+from fraisse.chains import ResourceLimitError
 from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
 from fraisse.universal import (
     SQUARE_TOL,
@@ -49,6 +50,8 @@ def test_prune_keeps_essential_rows():
     pruned, kept = prune_redundant_rows(sp)
     assert pruned.rows == 2
     assert kept == [0, 1]
+    # a lone row has nothing to be represented by
+    assert prune_redundant_rows(LinfSpace(1))[1] == [0]
 
 
 def test_operator_chain_exact_squares(chain2):
@@ -83,6 +86,16 @@ def test_operator_chain_caps():
             assert nxt.dom.dim == prev.dom.dim
             assert nxt.cod.dim == prev.cod.dim
     assert any(rec["mode"] == "extend" for rec in chain.records)
+
+
+def test_battery_of_a_tower_that_never_grows_its_codomain():
+    # at cod_cap 1 every record is an in-place extension without gamma,
+    # so only its 1 x 1 scaling item can be replayed
+    chain = build_universal_operator_chain(depth=1, cod_cap=1, seed=0)
+    assert [rec["gamma"] for rec in chain.records] == [None]
+    assert [it["tag"] for it in generate_operator_battery(chain, count=1, eps=0.2)] == ["scale@1"]
+    with pytest.raises(ResourceLimitError, match="only 1 of 2"):
+        generate_operator_battery(chain, count=2, eps=0.2)
 
 
 def test_operator_chain_determinism_and_roundtrip(chain2):

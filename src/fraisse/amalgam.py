@@ -13,7 +13,7 @@ witnesses, which makes its two commutation identities hold exactly.
 
 import numpy as np
 
-from .certify import Certificate, map_to_json, register_claim, map_from_json, fmt_real, modulus_to_json, fmt_vector
+from .certify import MAP, Claim, fmt_real, fmt_vector, map_to_json, modulus_to_json
 from .spaces import (
     BANACH,
     MORPHISM_TOL,
@@ -48,24 +48,19 @@ class AmalgamResult:
         return BANACH(self.delta)
 
     def certificate(self, f_x, f_y):
-        inputs = {
-            "f_x": map_to_json(f_x),
-            "f_y": map_to_json(f_y),
-            "i": map_to_json(self.i),
-            "j": map_to_json(self.j),
-            "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(BANACH),
-        }
-        return Certificate("nap_defect", inputs, self.bound, self.defect, tol=1e-7)
+        return NAP_DEFECT.certificate(
+            self.bound, self.defect, f_x=f_x, f_y=f_y, i=self.i, j=self.j, delta=self.delta, modulus=BANACH
+        )
 
 
-@register_claim("nap_defect")
-def _recheck_nap(inputs):
-    i = map_from_json(inputs["i"])
-    j = map_from_json(inputs["j"])
-    f_x = map_from_json(inputs["f_x"])
-    f_y = map_from_json(inputs["f_y"])
+def _nap_defect(f_x, f_y, i, j):
     return map_dist(i @ f_x, j @ f_y)
+
+
+NAP_DEFECT = Claim(
+    "nap_defect", 1e-7, _nap_defect,
+    f_x=MAP, f_y=MAP, i=MAP, j=MAP, delta=(fmt_real, None), modulus=(modulus_to_json, None),
+)
 
 
 def nap_amalgamate(f_x, f_y, delta=None):
@@ -91,7 +86,7 @@ def nap_amalgamate(f_x, f_y, delta=None):
     z = LinfSpace(nx + ny)
     i = LinearMap(f_x.cod, z, np.vstack([np.eye(nx), h_x.matrix]))
     j = LinearMap(f_y.cod, z, np.vstack([h_y.matrix, np.eye(ny)]))
-    defect = map_dist(i @ f_x, j @ f_y)
+    defect = _nap_defect(f_x, f_y, i, j)
     return AmalgamResult(z, i, j, defect, delta)
 
 
@@ -109,44 +104,37 @@ class PushoutResult:
     def bound(self):
         return self.modulus(self.delta)
 
-    def family_json(self):
-        return [
-            {"tag": tag, "g": fmt_vector(g), "h": fmt_vector(h)} for tag, g, h in self.family
-        ]
-
     def certificate(self, phi, f):
-        inputs = {
-            "phi": map_to_json(phi),
-            "f": map_to_json(f),
-            "fhat": map_to_json(self.fhat),
-            "j": map_to_json(self.j),
-            "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(self.modulus),
-            "family": self.family_json(),
-        }
-        return Certificate("pushout_defect", inputs, self.bound, self.defect, tol=1e-7)
+        return PUSHOUT_DEFECT.certificate(
+            self.bound, self.defect, phi=phi, f=f, fhat=self.fhat, j=self.j,
+            delta=self.delta, modulus=self.modulus, family=self.family,
+        )
 
 
-@register_claim("pushout_defect")
-def _recheck_pushout(inputs):
-    phi = map_from_json(inputs["phi"])
-    f = map_from_json(inputs["f"])
-    fhat = map_from_json(inputs["fhat"])
-    j = map_from_json(inputs["j"])
+def _family_to_json(family):
+    return [{"tag": tag, "g": fmt_vector(g), "h": fmt_vector(h)} for tag, g, h in family]
+
+
+def _pushout_defect(phi, f, fhat, j):
     return map_dist(fhat @ phi, j @ f)
+
+
+PUSHOUT_DEFECT = Claim(
+    "pushout_defect", 1e-7, _pushout_defect,
+    phi=MAP, f=MAP, fhat=MAP, j=MAP, delta=(fmt_real, None), modulus=(modulus_to_json, None),
+    family=(_family_to_json, None),
+)
 
 
 def _independent_columns(cols):
     """Greedy deterministic pick of a well-conditioned spanning subset."""
     picked = []
-    idx = []
-    for k, col in enumerate(cols.T):
+    for col in cols.T:
         trial = picked + [col]
         sv = np.linalg.svd(np.column_stack(trial), compute_uv=False)
         if sv[-1] > SPAN_TOL * max(1.0, sv[0]):
             picked = trial
-            idx.append(k)
-    return np.column_stack(picked), idx
+    return np.column_stack(picked)
 
 
 def _coords_in(basis, vectors, what):
@@ -193,11 +181,11 @@ def approx_pushout(phi, f, delta, modulus=BANACH, extra_pairs=None):
     g_rows = np.array([g for _, g, _ in family])
     h_rows = np.array([h for _, _, h in family])
     generators = np.hstack([g_rows, h_rows])
-    basis, _ = _independent_columns(generators)
+    basis = _independent_columns(generators)
     yhat = NormedSpace(basis, label="pushout")
     fhat = LinearMap(phi.cod, yhat, _coords_in(basis, g_rows, "pushout fhat"))
     j = LinearMap(f.cod, yhat, _coords_in(basis, h_rows, "pushout j"))
-    defect = map_dist(fhat @ phi, j @ f)
+    defect = _pushout_defect(phi, f, fhat, j)
     return PushoutResult(yhat, fhat, j, family, defect, delta, modulus)
 
 
@@ -262,35 +250,25 @@ class ArrowPushoutResult:
         return BANACH(self.delta) + 2.0 * self.delta
 
     def certificate(self, phi, f):
-        inputs = {
-            "that": map_to_json(phi.dst.t),
-            "s": map_to_json(f.dst.t),
-            "shat": map_to_json(self.shat.t),
-            "phi0": map_to_json(phi.a0),
-            "phi1": map_to_json(phi.a1),
-            "f0": map_to_json(f.a0),
-            "f1": map_to_json(f.a1),
-            "fhat0": map_to_json(self.fhat.a0),
-            "fhat1": map_to_json(self.fhat.a1),
-            "j0": map_to_json(self.j.a0),
-            "j1": map_to_json(self.j.a1),
-            "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(BANACH),
-        }
-        return Certificate("arrow_pushout_defect", inputs, self.bound, self.defect, tol=1e-7)
+        return ARROW_PUSHOUT_DEFECT.certificate(
+            self.bound, self.defect, that=phi.dst.t, s=f.dst.t, shat=self.shat.t,
+            phi0=phi.a0, phi1=phi.a1, f0=f.a0, f1=f.a1, fhat0=self.fhat.a0, fhat1=self.fhat.a1,
+            j0=self.j.a0, j1=self.j.a1, delta=self.delta, modulus=BANACH,
+        )
 
 
-@register_claim("arrow_pushout_defect")
-def _recheck_arrow(inputs):
-    d0 = map_dist(
-        map_from_json(inputs["fhat0"]) @ map_from_json(inputs["phi0"]),
-        map_from_json(inputs["j0"]) @ map_from_json(inputs["f0"]),
-    )
-    d1 = map_dist(
-        map_from_json(inputs["fhat1"]) @ map_from_json(inputs["phi1"]),
-        map_from_json(inputs["j1"]) @ map_from_json(inputs["f1"]),
-    )
-    return max(d0, d1)
+def _arrow_pushout_defect(phi0, phi1, f0, f1, fhat0, fhat1, j0, j1):
+    """The worse of the two pushout squares; the build keeps the max of the
+    defects its two pushouts measured instead of solving them again."""
+    return max(_pushout_defect(phi0, f0, fhat0, j0), _pushout_defect(phi1, f1, fhat1, j1))
+
+
+ARROW_PUSHOUT_DEFECT = Claim(
+    "arrow_pushout_defect", 1e-7, _arrow_pushout_defect,
+    that=(map_to_json, None), s=(map_to_json, None), shat=(map_to_json, None),
+    phi0=MAP, phi1=MAP, f0=MAP, f1=MAP, fhat0=MAP, fhat1=MAP, j0=MAP, j1=MAP,
+    delta=(fmt_real, None), modulus=(modulus_to_json, None),
+)
 
 
 def arrow_pushout(phi, f, delta):

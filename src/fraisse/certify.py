@@ -2,9 +2,15 @@
 
 Every claimed bound ships as a Certificate: which inequality, on which
 inputs (embedded in full, plus a content hash), the bound, the measured
-value and the resulting slack. `verify` re-runs the measurement from the
-embedded inputs through a registry keyed by claim tag, so a certificate
-can always be rechecked independently of the run that produced it.
+value and the resulting slack. Each claim is declared once, as a Claim:
+its tag, its tolerance, the (encode, decode) pair of every input field
+and one measure function over the decoded fields. Writers pass objects
+to their claim, and `verify` decodes the embedded inputs and calls the
+same measure again. For most claims the build computes its number with
+that measure too, so a verdict shows the number is reproduced from the
+embedded inputs, not that a second method agrees; only
+arrow_pushout_defect, poulsen_separation_gap and operator_absorption
+reach their number another way in the build.
 
 All reals are serialized as decimal strings with 17 significant digits.
 """
@@ -70,6 +76,16 @@ def modulus_to_json(modulus):
 def modulus_from_json(kind):
     """The modulus of a serialized kind; an unknown kind raises ValueError."""
     return Modulus(kind)
+
+
+# (encode, decode) pairs of the input kinds claims share; a field that is
+# only hashed pairs its encoder with None instead
+MAP = (map_to_json, map_from_json)
+REAL = (fmt_real, parse_real)
+VECTOR = (fmt_vector, parse_vector)
+MATRIX = (fmt_matrix, parse_matrix)
+SPACE = (space_to_json, space_from_json)
+INT = (int, int)
 
 
 def canonical_dumps(obj):
@@ -159,21 +175,25 @@ class Certificate:
 CLAIM_REGISTRY = {}
 
 
-def register_claim(tag):
-    """Register the independent re-measurement routine for a claim tag."""
+class Claim:
+    """One certified inequality, registered under its tag.
 
-    def deco(fn):
-        CLAIM_REGISTRY[tag] = fn
-        return fn
+    fields maps each input key to its (encode, decode) pair; decode is
+    None for a field that is only hashed. measure takes the decodable
+    fields by name and returns the measured value.
+    """
 
-    return deco
+    def __init__(self, tag, tol, measure, **fields):
+        self.tag = tag
+        self.tol = tol
+        self.measure = measure
+        self.fields = fields
+        CLAIM_REGISTRY[tag] = self
 
-
-def recompute_measured(cert):
-    fn = CLAIM_REGISTRY.get(cert.claim)
-    if fn is None:
-        raise KeyError(f"no verifier registered for claim {cert.claim!r}")
-    return float(fn(cert.inputs))
+    def certificate(self, bound, measured, payload=None, **values):
+        """The certificate of this claim on the given input objects."""
+        inputs = {key: encode(values[key]) for key, (encode, _) in self.fields.items()}
+        return Certificate(self.tag, inputs, bound, measured, tol=self.tol, payload=payload)
 
 
 def verify_certificate(cert):
@@ -183,7 +203,11 @@ def verify_certificate(cert):
     agrees with the recorded value within VERIFY_TOL (relative for large
     values) and the pass flag is reproduced.
     """
-    again = recompute_measured(cert)
+    claim = CLAIM_REGISTRY.get(cert.claim)
+    if claim is None:
+        raise KeyError(f"no verifier registered for claim {cert.claim!r}")
+    decoded = {key: decode(cert.inputs[key]) for key, (_, decode) in claim.fields.items() if decode is not None}
+    again = float(claim.measure(**decoded))
     scale = 1.0 + abs(cert.measured)
     agree = abs(again - cert.measured) <= VERIFY_TOL * scale
     same_verdict = (again <= cert.bound + cert.tol) == cert.passed

@@ -18,7 +18,9 @@ import itertools
 import numpy as np
 
 from .certify import (
-    Certificate,
+    MAP,
+    SPACE,
+    Claim,
     canonical_dumps,
     content_hash,
     fmt_real,
@@ -26,7 +28,6 @@ from .certify import (
     map_to_json,
     modulus_from_json,
     modulus_to_json,
-    register_claim,
     space_from_json,
     space_to_json,
 )
@@ -430,7 +431,7 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, *, seed, extend_
         stages.append(z)
 
         for (source, f, kk, phi, m, delta), g in pending:
-            defect = map_dist(g @ phi, lift @ f)
+            defect = _extension_defect(phi, lift @ f, g)
             records.append(
                 _record(source, f, kk, phi, g, m, "amalgam", delta, defect, g.distortion())
             )
@@ -446,7 +447,7 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, *, seed, extend_
                 g = extend_morphism(phi, f_top, delta=dphi, check=False)
             except (ValueError, LPInfeasible):
                 continue
-            defect = map_dist(g @ phi, f_top)
+            defect = _extension_defect(phi, f_top, g)
             g_dist = morphism_distortion(g)
             records.append(
                 _record(source, f, k - 1, phi, g, k, "extend", max(dphi, df), defect, g_dist)
@@ -530,24 +531,21 @@ class ExtensionResult:
         self.bound = bound
 
     def certificate(self, phi, f_top):
-        inputs = {
-            "phi": map_to_json(phi),
-            "f": map_to_json(f_top),
-            "g": map_to_json(self.g),
-            "delta": fmt_real(self.delta),
-            "modulus": modulus_to_json(self.modulus),
-            "mode": self.mode,
-        }
         payload = {"distortion": fmt_real(self.distortion), "stage": str(self.stage)}
-        return Certificate("extension_defect", inputs, self.bound, self.defect, tol=1e-7, payload=payload)
+        return EXTENSION_DEFECT.certificate(
+            self.bound, self.defect, payload=payload, phi=phi, f=f_top, g=self.g,
+            delta=self.delta, modulus=self.modulus, mode=self.mode,
+        )
 
 
-@register_claim("extension_defect")
-def _recheck_extension(inputs):
-    phi = map_from_json(inputs["phi"])
-    f = map_from_json(inputs["f"])
-    g = map_from_json(inputs["g"])
+def _extension_defect(phi, f, g):
     return map_dist(g @ phi, f)
+
+
+EXTENSION_DEFECT = Claim(
+    "extension_defect", 1e-7, _extension_defect,
+    phi=MAP, f=MAP, g=MAP, delta=(fmt_real, None), modulus=(modulus_to_json, None), mode=(str, None),
+)
 
 
 def certify_extension(chain, phi, f, k, delta):
@@ -586,7 +584,7 @@ def certify_extension(chain, phi, f, k, delta):
 
     scored = []
     for mode, g in candidates:
-        defect = map_dist(g @ phi, f_top)
+        defect = _extension_defect(phi, f_top, g)
         scored.append((mode, g, defect, morphism_distortion(g)))
     best = min(scored, key=lambda s: (s[2] > bound, s[3], s[2]))
 
@@ -609,7 +607,7 @@ def certify_extension(chain, phi, f, k, delta):
             pattern=(lower, max(best[2], modulus(delta)) + 0.5 * SLACK),
         )
         g2 = LinearMap(phi.cod, chain.stages[m], g_mat2)
-        defect2 = map_dist(g2 @ phi, f_top)
+        defect2 = _extension_defect(phi, f_top, g2)
         scored.append(("pattern_lp", g2, defect2, morphism_distortion(g2)))
     except (ValueError, LPInfeasible):
         pass
@@ -632,25 +630,21 @@ class BackAndForthResult:
         self.rounds = rounds
 
     def certificate(self, f_top, g_top, modulus, delta):
-        inputs = {
-            "f": map_to_json(f_top),
-            "g": map_to_json(g_top),
-            "u": map_to_json(self.u),
-            "v": map_to_json(self.v),
-            "delta": fmt_real(delta),
-            "modulus": modulus_to_json(modulus),
-        }
         payload = {"trace": [fmt_real(t) for t in self.trace], "rounds": str(self.rounds)}
-        return Certificate("back_and_forth_defect", inputs, self.bound, self.defect, tol=1e-7, payload=payload)
+        return BACK_AND_FORTH_DEFECT.certificate(
+            self.bound, self.defect, payload=payload,
+            f=f_top, g=g_top, u=self.u, v=self.v, delta=delta, modulus=modulus,
+        )
 
 
-@register_claim("back_and_forth_defect")
-def _recheck_baf(inputs):
-    f = map_from_json(inputs["f"])
-    g = map_from_json(inputs["g"])
-    u = map_from_json(inputs["u"])
-    v = map_from_json(inputs["v"])
+def _back_and_forth_defect(f, g, u, v):
     return max(map_dist(u @ f, g), map_dist(v @ g, f))
+
+
+BACK_AND_FORTH_DEFECT = Claim(
+    "back_and_forth_defect", 1e-7, _back_and_forth_defect,
+    f=MAP, g=MAP, u=MAP, v=MAP, delta=(fmt_real, None), modulus=(modulus_to_json, None),
+)
 
 
 def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
@@ -689,10 +683,7 @@ def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
     best_u = extend_morphism(f_top, g_top, delta=delta, modulus=modulus, check=False)
     best_v = extend_morphism(g_top, f_top, delta=delta, modulus=modulus, check=False)
 
-    def _defect(u, v):
-        return max(map_dist(u @ f_top, g_top), map_dist(v @ g_top, f_top))
-
-    best = _defect(best_u, best_v)
+    best = _back_and_forth_defect(f_top, g_top, best_u, best_v)
     trace = [best]
     u, v = best_u, best_v
     for n in range(1, rounds):
@@ -705,7 +696,7 @@ def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
         except (ValueError, LPInfeasible):
             v_new = v
         u, v = u_new, v_new
-        cand = _defect(u, v)
+        cand = _back_and_forth_defect(f_top, g_top, u, v)
         if cand < best:
             best = cand
             best_u, best_v = u, v
@@ -728,23 +719,17 @@ class FactorizationWitness:
         self.defect = defect
 
     def certificate(self, space):
-        inputs = {
-            "space": space_to_json(space),
-            "gamma": map_to_json(self.gamma),
-            "rho": map_to_json(self.rho),
-        }
         payload = {"through_dim": str(self.through_dim), "norm_bound": fmt_real(self.norm_bound)}
-        return Certificate("factorization_defect", inputs, max(self.defect, 0.0), self.defect, tol=1e-7, payload=payload)
+        return FACTORIZATION_DEFECT.certificate(
+            max(self.defect, 0.0), self.defect, payload=payload, space=space, gamma=self.gamma, rho=self.rho
+        )
 
 
-@register_claim("factorization_defect")
-def _recheck_factorization(inputs):
-    gamma = map_from_json(inputs["gamma"])
-    rho = map_from_json(inputs["rho"])
-    space = space_from_json(inputs["space"])
-    comp = rho @ gamma
-    ident = LinearMap.identity(space)
-    return map_dist(LinearMap(space, space, comp.matrix), ident)
+def _factorization_defect(space, gamma, rho):
+    return map_dist(LinearMap(space, space, rho.matrix @ gamma.matrix), LinearMap.identity(space))
+
+
+FACTORIZATION_DEFECT = Claim("factorization_defect", 1e-7, _factorization_defect, space=SPACE, gamma=MAP, rho=MAP)
 
 
 def nuclearity_witness(space):
@@ -796,6 +781,4 @@ def nuclearity_witness(space):
     if norm_bound > 1.0 + 1e-9:
         rho = LinearMap(gamma.cod, space, _solve(1.0)[0])
         norm_bound = rho.op_norm()
-    comp = rho @ gamma
-    defect = map_dist(LinearMap(space, space, comp.matrix), LinearMap.identity(space))
-    return FactorizationWitness(gamma, rho, big, norm_bound, defect)
+    return FactorizationWitness(gamma, rho, big, norm_bound, _factorization_defect(space, gamma, rho))

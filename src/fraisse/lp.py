@@ -258,7 +258,7 @@ def _solve_separable(c, a_ub, b_ub, a_eq, b_eq):
     by this rule, with near = SEPARABLE_MARGIN times HiGHS's primal
     feasibility tolerance:
     - a coefficient of magnitude outside [near, 1 / near], or a
-      right-hand side, cost or bound above 1 / near (HiGHS drops tiny
+      right-hand side or cost above 1 / near (HiGHS drops tiny
       coefficients, reads huge values as infinite, and checks rows in
       absolute terms, where rounding in large activities shows);
     - two bounds of a column within near of each other, in x or in the
@@ -282,8 +282,6 @@ def _solve_separable(c, a_ub, b_ub, a_eq, b_eq):
         if not (near <= abs(a) <= 1 / near and abs(b) <= 1 / near):
             return None
         q = b / a
-        if abs(q) > 1 / near:
-            return None
         bounds.append(q)
         if a > 0:
             hi[j] = min(hi[j], q)

@@ -50,6 +50,14 @@ BANACH = Modulus("banach")
 FUNCTION_SYSTEM = Modulus("function_system")
 
 
+def _require_full_column_rank(a, what):
+    """Raise ValueError unless the columns of a are independent: the smallest
+    singular value must exceed RANK_TOL * max(1, the largest)."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+        raise ValueError(f"{what}: smallest singular value {sv[-1]:.3e}")
+
+
 class NormedSpace:
     """R^dim with norm max_i |f_i(x)| for the rows f_i of `norming`.
 
@@ -65,12 +73,7 @@ class NormedSpace:
             raise ValueError("zero-dimensional spaces are rejected")
         if not np.all(np.isfinite(w)):
             raise ValueError("norming entries must be finite")
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-            raise ValueError(
-                f"norming matrix has rank < {w.shape[1]}: smallest singular value "
-                f"{sv[-1]:.3e}, the rows only give a seminorm"
-            )
+        _require_full_column_rank(w, f"norming matrix has rank < {w.shape[1]}, the rows only give a seminorm")
         w.setflags(write=False)
         self.norming = w
         self.dim = w.shape[1]
@@ -324,9 +327,7 @@ class MarkedSpace:
         if len(vecs) != space.dim:
             raise ValueError("a basic tuple must have exactly dim entries")
         a = np.column_stack(vecs)
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
-            raise ValueError("marked tuple is not linearly independent")
+        _require_full_column_rank(a, "marked tuple is not linearly independent")
         self.space = space
         self.vectors = vecs
         self.matrix = a

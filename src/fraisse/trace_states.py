@@ -24,7 +24,7 @@ pullback_defect over the same seeded generator gives.
 
 import numpy as np
 
-from .certify import Certificate, fmt_matrix, fmt_real, parse_matrix, register_claim
+from .certify import INT, Claim, fmt_matrix, fmt_real, parse_matrix
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -243,8 +243,9 @@ def pullback_defect(block, t_state, x):
     return float((np.trace(b @ x)).real) - t_val * float(np.trace(b).real)
 
 
-def _sampled_defect(block, t_state, seed, samples):
-    """The largest |pullback_defect| over the seeded Hermitian unit samples.
+def _sampled_defect(block, t, seed, samples):
+    """The largest |pullback_defect| over the seeded Hermitian unit samples,
+    for the light block and the density matrix t of the target state.
 
     Each batch draws the loop's normal stream (a sample's real part, then
     its imaginary part) and runs its steps stacked over the batch.
@@ -263,17 +264,17 @@ def _sampled_defect(block, t_state, seed, samples):
         g = draw[:, 0] + 1j * draw[:, 1]
         h = (g + g.conj().transpose(0, 2, 1)) / 2.0
         x = h / np.max(np.abs(np.linalg.eigvalsh(h)), axis=1)[:, None, None]
-        t_vals = np.trace(t_state.density.matrix @ x, axis1=1, axis2=2).real
+        t_vals = np.trace(t.matrix @ x, axis1=1, axis2=2).real
         defects = np.trace(b @ x, axis1=1, axis2=2).real - t_vals * tr_b
         worst = max(worst, float(np.max(np.abs(defects))))
     return worst
 
 
-@register_claim("matrix_state_defect")
-def _recheck_matrix_defect(inputs):
-    block = complex_matrix_from_json(inputs["block"])
-    t_state = MatrixState(DensityMatrix(complex_matrix_from_json(inputs["t"])))
-    return _sampled_defect(block, t_state, int(inputs["seed"]), int(inputs["samples"]))
+MATRIX_STATE_DEFECT = Claim(
+    "matrix_state_defect", 1e-9, _sampled_defect,
+    block=(complex_matrix_to_json, complex_matrix_from_json), t=(DensityMatrix.to_json, DensityMatrix.from_json),
+    seed=INT, samples=INT,
+)
 
 
 def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
@@ -295,25 +296,15 @@ def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
     block_norm = float(np.max(np.abs(np.linalg.eigvalsh((block + block.conj().T) / 2.0))))
     block_trace = float(np.trace(block).real)
     emb = MatrixEmbedding(d, k, t_state, j)
-    worst = _sampled_defect(block, t_state, seed, samples)
-    inputs = {
-        "block": complex_matrix_to_json(block),
-        "t": complex_matrix_to_json(t_state.density.matrix),
-        "seed": seed,
-        "samples": samples,
+    worst = _sampled_defect(block, t_state.density, seed, samples)
+    payload = {
+        "block_index": j,
+        "block_norm": fmt_real(block_norm),
+        "block_trace": fmt_real(block_trace),
+        "ell": ell,
     }
-    cert = Certificate(
-        "matrix_state_defect",
-        inputs,
-        16.0 / ell,
-        worst,
-        tol=1e-9,
-        payload={
-            "block_index": j,
-            "block_norm": fmt_real(block_norm),
-            "block_trace": fmt_real(block_trace),
-            "ell": ell,
-        },
+    cert = MATRIX_STATE_DEFECT.certificate(
+        16.0 / ell, worst, payload=payload, block=block, t=t_state.density, seed=seed, samples=samples
     )
     return MatrixEmbeddingResult(emb, block, block_norm, block_trace, ell, cert)
 

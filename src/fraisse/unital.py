@@ -14,23 +14,22 @@ import itertools
 import numpy as np
 
 from .certify import (
-    Certificate,
-    fmt_matrix,
+    MAP,
+    MATRIX,
+    REAL,
+    SPACE,
+    VECTOR,
+    Claim,
     fmt_real,
     fmt_vector,
-    map_from_json,
-    map_to_json,
     modulus_to_json,
-    parse_matrix,
-    parse_real,
     parse_vector,
-    register_claim,
     space_from_json,
     space_to_json,
 )
 from .chains import StageChain
 from .lp import LPBuilder
-from .spaces import FUNCTION_SYSTEM, LinearMap, NormedSpace, map_dist
+from .spaces import FUNCTION_SYSTEM, RANK_TOL, LinearMap, NormedSpace, map_dist
 
 UNIT_TOL = 1e-9
 WEIGHT_TOL = 1e-9
@@ -134,13 +133,6 @@ def project_rows_to_states(space, rows):
     return np.array(out)
 
 
-@register_claim("unital_perturbation")
-def _recheck_perturbation(inputs):
-    f = map_from_json(inputs["f"])
-    g = map_from_json(inputs["g"])
-    return map_dist(f - g, LinearMap(f.dom, f.cod, np.zeros_like(f.matrix)))
-
-
 def perturb_to_unital_positive(f, delta):
     """Nearest unital positive map to f between function systems.
 
@@ -173,26 +165,33 @@ def perturb_to_unital_positive(f, delta):
     g_mat = res.x[g_vars]
     g = LinearMap(dom, cod, g_mat)
     defect = map_dist(f, g)
-    inputs = {"f": map_to_json(f), "g": map_to_json(g), "delta": fmt_real(delta)}
-    cert = Certificate("unital_perturbation", inputs, 2.0 * delta, defect, tol=1e-7)
+    cert = UNITAL_PERTURBATION.certificate(2.0 * delta, defect, f=f, g=g, delta=delta)
     return g, defect, cert
+
+
+UNITAL_PERTURBATION = Claim("unital_perturbation", 1e-7, map_dist, f=MAP, g=MAP, delta=(fmt_real, None))
 
 
 # ---------------------------------------------------------------------------
 # the extending step of the dense-extreme-boundary tower
 
 
-@register_claim("poulsen_separation_gap")
-def _recheck_poulsen(inputs):
-    system = system_from_json(inputs["system"])
-    idx = int(inputs["new_row"])
-    return parse_real(inputs["tau"]) - _ext_margin(system, idx)
-
-
 def _ext_margin(system, idx):
     """Dual-norm separation of row idx from the hull of the other rows."""
     w = system.norming
     return _hull_distance(np.delete(w, idx, axis=0), w, w[idx])[0]
+
+
+def _poulsen_gap(system, new_row, tau):
+    """How far the margin of the new row falls short of tau; the build
+    subtracts the margin it reports instead of measuring it again."""
+    return tau - _ext_margin(system, new_row)
+
+
+POULSEN_SEPARATION_GAP = Claim(
+    "poulsen_separation_gap", 1e-9, _poulsen_gap,
+    system=(system_to_json, system_from_json), new_row=(str, int), tau=REAL, target_weights=(fmt_vector, None),
+)
 
 
 class PoulsenStep:
@@ -234,13 +233,9 @@ def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
     phi = LinearMap(system, grown, phi_mat)
     idx = system.rows
     margin = _ext_margin(grown, idx)
-    inputs = {
-        "system": system_to_json(grown),
-        "new_row": str(idx),
-        "tau": fmt_real(tau),
-        "target_weights": fmt_vector(target.weights),
-    }
-    cert = Certificate("poulsen_separation_gap", inputs, 0.0, tau - margin, tol=1e-9)
+    cert = POULSEN_SEPARATION_GAP.certificate(
+        0.0, tau - margin, system=grown, new_row=idx, tau=tau, target_weights=target.weights
+    )
     return PoulsenStep(grown, phi, idx, margin, cert)
 
 
@@ -253,9 +248,10 @@ def build_poulsen_chain(depth, targets_per_step=1, *, seed):
     certified against SEPARATION_TAU. Step records carry the measured
     separation margins and the measured cover radius of a fixed probe
     family (distance from probe states to the nearest extreme row), which
-    is the quantity that is supposed to shrink as the tower grows. params
-    records SEPARATION_TAU as "tau" and the FUNCTION_SYSTEM modulus
-    beside the arguments.
+    is the quantity that is supposed to shrink as the tower grows. Every
+    stage is identity normed (each step appends a coordinate row), so
+    every row is extreme. params records SEPARATION_TAU as "tau" and the
+    FUNCTION_SYSTEM modulus beside the arguments.
     """
     rng = np.random.default_rng(seed)
     system = simplex_system(2)
@@ -283,15 +279,14 @@ def build_poulsen_chain(depth, targets_per_step=1, *, seed):
         connectives.append(lift)
         stages.append(grown)
         # probe states lift along the tower: their functionals pull back, and
-        # the cover radius is the distance to the nearest currently extreme row
-        extreme = [idx for idx in range(grown.rows) if _ext_margin(grown, idx) > 1e-9]
+        # the cover radius is the distance to the nearest row
         cover = 0.0
         for pw in probes:
             base = np.zeros(grown.rows)
             base[:2] = pw
             probe_func = base @ grown.norming
             best = np.inf
-            for idx in extreme:
+            for idx in range(grown.rows):
                 d = grown.dual_norm(probe_func - grown.norming[idx])
                 best = min(best, d)
             cover = max(cover, best)
@@ -326,13 +321,12 @@ class MinimalityResult:
         self.certificate = certificate
 
 
-@register_claim("minimality_defect")
-def _recheck_minimality(inputs):
-    s = parse_vector(inputs["s"])
-    t = parse_vector(inputs["t"])
-    phi = map_from_json(inputs["phi"])
-    pulled = t @ phi.matrix
-    return float(np.sum(np.abs(pulled - s)))
+def _minimality_defect(s, t, phi):
+    """The pullback error sum |t phi - s|, the dual norm on a coordinate system."""
+    return float(np.sum(np.abs(t @ phi.matrix - s)))
+
+
+MINIMALITY_DEFECT = Claim("minimality_defect", 1e-9, _minimality_defect, s=VECTOR, t=VECTOR, phi=MAP)
 
 
 def minimality_map(s, t, eps):
@@ -380,14 +374,12 @@ def minimality_map(s, t, eps):
             phi_mat[i, :] = s
     phi = LinearMap(dom, cod, phi_mat)
 
-    pulled = t @ phi_mat
-    closed = float(np.sum(np.abs(pulled - s)))
-    lp_val = dom.dual_norm(pulled - s)
+    closed = _minimality_defect(s, t, phi)
+    lp_val = dom.dual_norm(t @ phi_mat - s)
     if abs(closed - lp_val) > 1e-7:
         raise RuntimeError(f"dual norm disagreement: closed {closed} vs LP {lp_val}")
-    inputs = {"s": fmt_vector(s), "t": fmt_vector(t), "phi": map_to_json(phi)}
-    cert = Certificate("minimality_defect", inputs, eps, closed, tol=1e-9,
-                       payload={"block_mass": fmt_real(block_mass)})
+    payload = {"block_mass": fmt_real(block_mass)}
+    cert = MINIMALITY_DEFECT.certificate(eps, closed, payload=payload, s=s, t=t, phi=phi)
     return MinimalityResult(phi, closed, block_mass, cert)
 
 
@@ -407,16 +399,7 @@ class BallCheckResult:
         return self.violation <= 1e-9
 
     def certificate(self):
-        return Certificate(self.claim, self.inputs, 0.0, self.violation, tol=1e-9)
-
-
-@register_claim("facial_quotient")
-def _recheck_facial(inputs):
-    space = space_from_json(inputs["space"])
-    p = parse_matrix(inputs["p"])
-    y = parse_vector(inputs["y"])
-    eps = parse_real(inputs["eps"])
-    return _facial_violation(space, p, y, eps)
+        return self.claim.certificate(0.0, self.violation, **self.inputs)
 
 
 def _facial_violation(space, p, y, eps):
@@ -448,23 +431,10 @@ def facial_quotient_check(system, p, y, eps):
     p = np.atleast_2d(np.asarray(p, dtype=float))
     y = np.asarray(y, dtype=float)
     violation = _facial_violation(system, p, y, eps)
-    inputs = {
-        "space": space_to_json(system),
-        "p": fmt_matrix(p),
-        "y": fmt_vector(y),
-        "eps": fmt_real(eps),
-    }
-    return BallCheckResult("facial_quotient", violation, eps, inputs)
+    return BallCheckResult(FACIAL_QUOTIENT, violation, eps, {"space": system, "p": p, "y": y, "eps": eps})
 
 
-@register_claim("biface_ball")
-def _recheck_biface(inputs):
-    space = space_from_json(inputs["space"])
-    p = parse_matrix(inputs["p"])
-    x = parse_vector(inputs["x"])
-    y = parse_vector(inputs["y"])
-    eps = parse_real(inputs["eps"])
-    return _biface_violation(space, p, x, y, eps)
+FACIAL_QUOTIENT = Claim("facial_quotient", 1e-9, _facial_violation, space=SPACE, p=MATRIX, y=VECTOR, eps=REAL)
 
 
 def _biface_violation(space, p, x, y, eps):
@@ -497,29 +467,25 @@ def biface_check(space, p, x, y, eps):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     violation = _biface_violation(space, p, x, y, eps)
-    inputs = {
-        "space": space_to_json(space),
-        "p": fmt_matrix(p),
-        "x": fmt_vector(x),
-        "y": fmt_vector(y),
-        "eps": fmt_real(eps),
-    }
-    return BallCheckResult("biface_ball", violation, eps, inputs)
+    return BallCheckResult(BIFACE_BALL, violation, eps, {"space": space, "p": p, "x": x, "y": y, "eps": eps})
+
+
+BIFACE_BALL = Claim("biface_ball", 1e-9, _biface_violation, space=SPACE, p=MATRIX, x=VECTOR, y=VECTOR, eps=REAL)
 
 
 def kernel_basis(p):
     """Orthonormal basis of ker p with deterministic signs; the rank
-    cutoff is 1e-10 * max(1, s0), s0 the largest singular value."""
+    cutoff is RANK_TOL * max(1, s0), s0 the largest singular value."""
     return _null_basis(p, 1.0)
 
 
 def _null_basis(p, floor):
     """Orthonormal basis of ker p by SVD, each column's first nonzero
-    entry made positive; singular values up to 1e-10 * max(floor, s0)
+    entry made positive; singular values up to RANK_TOL * max(floor, s0)
     count as zero, s0 the largest."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     _, sv, vt = np.linalg.svd(p)
-    rank = int(np.sum(sv > 1e-10 * max(floor, sv[0] if sv.size else 1.0)))
+    rank = int(np.sum(sv > RANK_TOL * max(floor, sv[0] if sv.size else 1.0)))
     basis = vt[rank:].T
     cols = []
     for c in basis.T:

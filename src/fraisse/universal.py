@@ -24,7 +24,9 @@ import numpy as np
 
 from .amalgam import ArrowMorphism, ArrowObject, arrow_pushout
 from .certify import (
-    Certificate,
+    MAP,
+    VECTOR,
+    Claim,
     canonical_dumps,
     content_hash,
     fmt_matrix,
@@ -34,8 +36,6 @@ from .certify import (
     map_to_json,
     parse_matrix,
     parse_real,
-    parse_vector,
-    register_claim,
 )
 from .chains import ResourceLimitError, _best_contraction_lp
 from .lp import LPBuilder, LPInfeasible
@@ -333,33 +333,30 @@ class UniversalCheckResult:
         self.via = via
 
     def certificate(self, l_map, t_map):
-        inputs = {
-            "l": map_to_json(l_map),
-            "t": map_to_json(t_map),
-            "alpha0": map_to_json(self.alpha0),
-            "alpha1": map_to_json(self.alpha1),
-            "eps": fmt_real(self.eps),
-        }
         payload = {
             "dist0": fmt_real(self.dist0),
             "dist1": fmt_real(self.dist1),
             "via": self.via,
         }
-        return Certificate(
-            "operator_absorption", inputs, self.eps, self.defect, tol=1e-7, payload=payload
+        return OPERATOR_ABSORPTION.certificate(
+            self.eps, self.defect, payload=payload,
+            l=l_map, t=t_map, alpha0=self.alpha0, alpha1=self.alpha1, eps=self.eps,
         )
 
 
-@register_claim("operator_absorption")
-def _recheck_absorption(inputs):
-    l_map = map_from_json(inputs["l"])
-    t_map = map_from_json(inputs["t"])
-    a0 = map_from_json(inputs["alpha0"])
-    a1 = map_from_json(inputs["alpha1"])
+def _absorption_defect(l, t, alpha0, alpha1):
+    """sup over the ball of |T alpha0 x - alpha1 L x|; the build takes the
+    optimum of the LP that chose alpha1 instead."""
     return map_dist(
-        LinearMap(a0.dom, a1.cod, t_map.matrix @ a0.matrix),
-        LinearMap(a0.dom, a1.cod, a1.matrix @ l_map.matrix),
+        LinearMap(alpha0.dom, alpha1.cod, t.matrix @ alpha0.matrix),
+        LinearMap(alpha0.dom, alpha1.cod, alpha1.matrix @ l.matrix),
     )
+
+
+OPERATOR_ABSORPTION = Claim(
+    "operator_absorption", 1e-7, _absorption_defect,
+    l=MAP, t=MAP, alpha0=MAP, alpha1=MAP, eps=(fmt_real, None),
+)
 
 
 def _signed_injections(src_dim, dst_dim, limit):
@@ -528,19 +525,18 @@ class KernelStage:
         self.certificate = certificate
 
 
-@register_claim("kernel_residual")
-def _recheck_kernel(inputs):
-    t_map = map_from_json(inputs["t"])
-    incl = map_from_json(inputs["incl"])
-    comp = LinearMap(incl.dom, t_map.cod, t_map.matrix @ incl.matrix)
-    return comp.op_norm()
+def _kernel_residual(t, incl):
+    return LinearMap(incl.dom, t.cod, t.matrix @ incl.matrix).op_norm()
+
+
+KERNEL_RESIDUAL = Claim("kernel_residual", 1e-12, _kernel_residual, t=MAP, incl=MAP)
 
 
 def kernel_stage(t_map, eps=1e-8):
     """Present the kernel of a stage operator with its restricted norm.
 
     Null space by singular value decomposition with deterministic signs
-    and rank cutoff 1e-10 * s0, s0 the largest singular value; the
+    and rank cutoff RANK_TOL * s0, s0 the largest singular value; the
     presentation rows are the dom rows restricted to the kernel basis,
     zero rows pruned. The certificate bounds the worst image norm
     over the kernel ball by eps.
@@ -552,11 +548,8 @@ def kernel_stage(t_map, eps=1e-8):
     keep = [i for i in range(norming.shape[0]) if np.max(np.abs(norming[i])) > 1e-12]
     space = NormedSpace(norming[keep], label="kernel")
     incl = LinearMap(space, t_map.dom, q)
-    comp = LinearMap(space, t_map.cod, t_map.matrix @ q)
-    residual = comp.op_norm()
-    inputs = {"t": map_to_json(t_map), "incl": map_to_json(incl)}
-    cert = Certificate("kernel_residual", inputs, eps, residual, tol=1e-12)
-    return KernelStage(space, incl, residual, cert)
+    residual = _kernel_residual(t_map, incl)
+    return KernelStage(space, incl, residual, KERNEL_RESIDUAL.certificate(eps, residual, t=t_map, incl=incl))
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +605,15 @@ def build_universal_state_chain(depth, seed):
     return StateChain(chain, states)
 
 
-@register_claim("state_absorption")
-def _recheck_state(inputs):
-    alpha = map_from_json(inputs["alpha"])
-    s = parse_vector(inputs["state"])
-    sigma = parse_vector(inputs["sigma"])
-    diff = s @ alpha.matrix - sigma
-    return alpha.dom.dual_norm(diff)
+def _state_absorption_defect(alpha, state, sigma):
+    """The dual norm of the pullback error state . alpha - sigma."""
+    return alpha.dom.dual_norm(state @ alpha.matrix - sigma)
+
+
+STATE_ABSORPTION = Claim(
+    "state_absorption", 1e-7, _state_absorption_defect,
+    alpha=MAP, state=VECTOR, sigma=VECTOR, eps=(fmt_real, None),
+)
 
 
 def check_universal_state_property(state_chain, system, sigma, eps):
@@ -664,18 +659,11 @@ def check_universal_state_property(state_chain, system, sigma, eps):
     res = lp.solve(mu)
     alpha_mat = res.x[alpha]
     alpha = LinearMap(system, target, alpha_mat)
-    pullback = s_func @ alpha_mat - sigma
-    defect = system.dual_norm(pullback)
+    defect = _state_absorption_defect(alpha, s_func, sigma)
     dist = morphism_distortion(alpha)
     passed = defect <= eps + 1e-9 and dist <= eps + 1e-9
-    inputs = {
-        "alpha": map_to_json(alpha),
-        "state": fmt_vector(s_func),
-        "sigma": fmt_vector(sigma),
-        "eps": fmt_real(eps),
-    }
-    cert = Certificate(
-        "state_absorption", inputs, eps, defect, tol=1e-7, payload={"distortion": fmt_real(dist)}
+    cert = STATE_ABSORPTION.certificate(
+        eps, defect, payload={"distortion": fmt_real(dist)}, alpha=alpha, state=s_func, sigma=sigma, eps=eps
     )
     result = UniversalCheckResult(alpha, alpha, defect, dist, dist, eps, passed)
     result.state_certificate = cert

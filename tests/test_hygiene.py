@@ -66,10 +66,28 @@ def test_no_unreferenced_private_functions():
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and not node.decorator_list  # @register_claim rechecks are reached through the registry
         and node.name not in used
     ]
     assert not dead, f"private functions nothing in src/ references: {dead}"
+
+
+def test_certificates_are_made_only_through_their_claims():
+    # every certificate comes from the one declaration of its claim in certify
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        if name != "certify.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Certificate"
+    ]
+    sites += [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) == "register_claim"
+        or isinstance(node, ast.FunctionDef) and node.name == "register_claim"
+    ]
+    assert not sites, f"certificates made outside their claim declaration at {sites}"
 
 
 def test_no_environment_reads():

@@ -117,6 +117,14 @@ def test_poulsen_chain_growth_and_margins():
     assert again.content_hash() == chain.content_hash()
 
 
+def test_poulsen_stages_are_identity_normed():
+    # the cover radius counts every row as extreme, which holds because each
+    # step appends one coordinate row to an identity-normed stage
+    for targets in (1, 3):
+        chain = build_poulsen_chain(depth=4, targets_per_step=targets, seed=0)
+        assert all(stage.is_linf for stage in chain.stages)
+
+
 def test_poulsen_chain_frozen():
     assert build_poulsen_chain(depth=5, seed=0).content_hash() == POULSEN_HASH
 

@@ -10,8 +10,13 @@ scipy (1.15 and later) directly through its bindings
 (`scipy.optimize._highspy._core`), with the options, input checks and
 solution checks of `scipy.optimize.linprog(method="highs")` but without
 its per-call overhead, which dominates the tiny LPs of this library.
-Each thread keeps one HiGHS instance, given the options once, and hands
-it one model per solve. In front of HiGHS sit two closed forms, each
+The bindings are loaded from their file in the scipy package and
+registered under their own name, without running `scipy.optimize`'s
+`__init__` and the linalg, sparse and special stacks it imports, which
+would take most of the time and memory of `import fraisse`; a later
+`import scipy.optimize` reuses the same module. Each thread keeps one
+HiGHS instance, given the options once, and hands it one model per
+solve. In front of HiGHS sit two closed forms, each
 giving HiGHS's point bit for bit and passing the same solution checks:
 - separable LPs, those without equality rows whose every row bounds a
   single variable (the op_norm LPs over l-infinity balls);
@@ -41,12 +46,38 @@ rows W.
 import contextlib
 import contextvars
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
+
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(scipy_dir):
+    """Load and register scipy's HiGHS bindings from the scipy package at `scipy_dir`.
+
+    Only the one extension module runs; registered under its own name,
+    it is the module a later `import scipy.optimize` finds.
+    """
+    where = os.path.join(scipy_dir, "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [where])
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS bindings {HIGHS_MODULE} not found in {where}", name=HIGHS_MODULE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Once scipy.optimize has loaded the bindings, take its module: a second
+# load of the binary would register its pybind11 types twice.
+_highs = sys.modules.get(HIGHS_MODULE) or _load_highs(importlib.util.find_spec("scipy").submodule_search_locations[0])
 
 RESIDUAL_TOL = 1e-9
 GAP_TOL = 1e-7
@@ -399,7 +430,8 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     model.row_lower_ = np.concatenate([np.full(m_ub, -inf), b_eq])
     model.row_upper_ = np.concatenate([b_ub, b_eq])
     # The nonzeros column by column, rows ascending: csc_array's layout.
-    cols, rows = np.nonzero(a.T)
+    # Scanning the boolean mask takes half the time of scanning the floats.
+    cols, rows = np.nonzero(a.T != 0)
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_ = n

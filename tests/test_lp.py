@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -674,3 +678,58 @@ def test_threads_solve_on_their_own_instance():
     assert mine is not theirs and lp._thread_highs() not in (mine, theirs)
     assert (exact_on, float_on) == ("exact", "float")
     assert exact_outcomes == serial and float_outcomes == serial
+
+
+def _fresh_interpreter(code):
+    """The standard output of `code` run in a new interpreter that imports this fraisse."""
+    paths = [str(Path(lp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_import_loads_only_the_highs_bindings_of_scipy_optimize():
+    # scipy.optimize/__init__ never runs, nor the linalg and sparse stacks it imports
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import fraisse, fraisse.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules))\n"
+        "print(fraisse.lp._highs is sys.modules['scipy.optimize._highspy._core'])\n"
+    )
+    assert out == ["[]", "True"]
+
+
+_INTEROP = """
+import json, sys
+{before}
+import fraisse
+{after}
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+a_ub = [[1.0, 1.0, 0.5], [1.0, -1.0, 0.0], [0.0, 1.0, 2.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+b_ub = [4.0, 1.0, 3.0, 0.0, 0.0, 0.0]
+c = [1.0, 2.0, 1.5]
+ours = fraisse.solve_lp(c, a_ub, b_ub)
+theirs = linprog([-v for v in c], A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * 3, method="highs")
+print(json.dumps([
+    fraisse.lp._highs is _core is sys.modules["scipy.optimize._highspy._core"],
+    theirs.status, -theirs.fun == ours.value, theirs.x.tolist() == ours.x.tolist(),
+]))
+"""
+
+
+@pytest.mark.parametrize(
+    "before, after", [("import scipy.optimize", ""), ("", "import scipy.optimize")], ids=["scipy_first", "fraisse_first"]
+)
+def test_scipy_optimize_shares_the_bindings_in_either_import_order(before, after):
+    # one module object, so pybind11 registers its types once, and linprog still solves
+    (line,) = _fresh_interpreter(_INTEROP.format(before=before, after=after))
+    assert json.loads(line) == [True, 0, True, True]
+
+
+def test_missing_highs_bindings_raise_import_error_naming_the_path(tmp_path):
+    where = tmp_path / "optimize" / "_highspy"
+    with pytest.raises(ImportError, match=re.escape(str(where))):
+        lp._load_highs(str(tmp_path))
+    assert sys.modules[lp.HIGHS_MODULE] is lp._highs

@@ -138,14 +138,20 @@ class Certificate:
 
     @staticmethod
     def from_json(obj):
-        cert = Certificate(
-            obj["claim"],
-            obj["inputs"],
-            parse_real(obj["bound"]),
-            parse_real(obj["measured"]),
-            tol=parse_real(obj.get("tol", fmt_real(1e-9))),
-            payload=obj.get("payload", {}),
-        )
+        """The certificate a JSON object holds; JSON of another shape raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a certificate is a JSON object, not a {type(obj).__name__}")
+        try:
+            cert = Certificate(
+                obj["claim"],
+                obj["inputs"],
+                parse_real(obj["bound"]),
+                parse_real(obj["measured"]),
+                tol=parse_real(obj.get("tol", fmt_real(1e-9))),
+                payload=obj.get("payload", {}),
+            )
+        except TypeError as exc:
+            raise ValueError(f"certificate field of the wrong type: {exc}") from exc
         recorded_hash = obj.get("inputs_hash")
         if recorded_hash is not None and recorded_hash != cert.inputs_hash:
             raise ValueError("certificate inputs do not match their recorded hash")
@@ -201,12 +207,16 @@ def verify_certificate(cert):
 
     Returns (faithful, measured_again). faithful means the recomputation
     agrees with the recorded value within VERIFY_TOL (relative for large
-    values) and the pass flag is reproduced.
+    values) and the pass flag is reproduced. Inputs of the wrong shape
+    raise ValueError.
     """
     claim = CLAIM_REGISTRY.get(cert.claim)
     if claim is None:
         raise KeyError(f"no verifier registered for claim {cert.claim!r}")
-    decoded = {key: decode(cert.inputs[key]) for key, (_, decode) in claim.fields.items() if decode is not None}
+    try:
+        decoded = {key: decode(cert.inputs[key]) for key, (_, decode) in claim.fields.items() if decode is not None}
+    except TypeError as exc:
+        raise ValueError(f"certificate inputs of the wrong shape: {exc}") from exc
     again = float(claim.measure(**decoded))
     scale = 1.0 + abs(cert.measured)
     agree = abs(again - cert.measured) <= VERIFY_TOL * scale

@@ -383,8 +383,10 @@ def build_gurarij_chain(depth, dim_cap=12, net_resolution=0.25, *, seed, extend_
     rng draws up front, in source order, but a source's pools are built
     and LP-filtered only when the fold or the extension walk first
     reaches it; no draw depends on an LP, so the tower is the same as if
-    every pool were filtered.
+    every pool were filtered. A negative depth raises ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     rng = np.random.default_rng(seed)
     stages = [LinfSpace(START_DIM)]
     connectives = []

@@ -240,13 +240,21 @@ def _cmd_matrix_minimality(args):
     return 0 if ok else 1
 
 
+def _read_input(path, decode, key, *arrays):
+    """From the JSON object in the file at path: decode(data[key]), then
+    data[k] as a float array for each k in arrays. JSON of the wrong shape
+    raises ValueError."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return decode(data[key]), *(np.array(data[k], dtype=float) for k in arrays)
+    except TypeError as exc:
+        raise ValueError(f"{path}: input of the wrong shape: {exc}") from exc
+
+
 def _cmd_check_face(args):
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        system = unital.system_from_json(data["system"])
-        p = np.array(data["p"], dtype=float)
-        y = np.array(data["y"], dtype=float)
+        system, p, y = _read_input(args.input, unital.system_from_json, "system", "p", "y")
     else:
         system = unital.simplex_system(3)
         p = np.array([[1.0, 0.0, 0.0]])
@@ -258,12 +266,7 @@ def _cmd_check_face(args):
 
 def _cmd_check_biface(args):
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        space = spaces.NormedSpace(np.array(data["space"], dtype=float))
-        p = np.array(data["p"], dtype=float)
-        x = np.array(data["x"], dtype=float)
-        y = np.array(data["y"], dtype=float)
+        space, p, x, y = _read_input(args.input, spaces.NormedSpace, "space", "p", "x", "y")
     else:
         space = spaces.LinfSpace(4)
         p = np.hstack([np.eye(2), np.zeros((2, 2))])

@@ -16,18 +16,16 @@ registered under their own name, without running `scipy.optimize`'s
 would take most of the time and memory of `import fraisse`; a later
 `import scipy.optimize` reuses the same module. Each thread keeps one
 HiGHS instance, given the options once, and hands it one model per
-solve. In front of HiGHS sit two closed forms, each
-giving HiGHS's point bit for bit and passing the same solution checks:
-- separable LPs, those without equality rows whose every row bounds a
-  single variable (the op_norm LPs over l-infinity balls);
-- least-coefficient-sum LPs with one equality row a.lam = g whose
-  largest |a_i| is exactly 1 and unique (the Hahn-Banach extensions
-  into l-infinity stages along signed coordinate injections), matched
-  against the `l1_template` they are built from.
-Everything else falls through to HiGHS, as does every such LP that is
-infeasible, unbounded, non-finite or near one of HiGHS's tolerances
-(a near tie for the pivot, or g near 0 or huge), so exceptions keep
-HiGHS's types.
+solve. In front of HiGHS sits one closed form, giving HiGHS's point
+bit for bit and passing the same solution checks: least-coefficient-sum
+LPs with one equality row a.lam = g whose largest |a_i| is exactly 1
+and unique (the Hahn-Banach extensions into l-infinity stages along
+signed coordinate injections), matched against the `l1_template` they
+are built from. Everything else falls through to HiGHS, as does every
+such LP that is non-finite or near one of HiGHS's tolerances (a near
+tie for the pivot, or g near 0 or huge), so exceptions keep HiGHS's
+types. (The op_norm LPs over l-infinity balls are not posed at all:
+`spaces.LinearMap.op_norm` sums them in closed form.)
 
 The `use_engine` scope is the only engine selector: the innermost scope
 decides, "float" runs outside every scope, and `fraisse --engine` opens
@@ -234,7 +232,7 @@ class LPBuilder:
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
     args = (-1.0 if maximize else 1.0) * c, a_ub, b_ub, a_eq, b_eq
-    x, fun, y_ub, y_eq = _solve_separable(*args) or _solve_l1_pivot(*args) or _run_highs(*args)
+    x, fun, y_ub, y_eq = _solve_l1_pivot(*args) or _run_highs(*args)
     _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
     value = float(c @ x)
     return LPResult(value, x, "float")
@@ -268,74 +266,8 @@ def _thread_highs():
 
 
 # How far, in multiples of HiGHS's primal feasibility tolerance,
-# `_solve_separable` keeps from the cases HiGHS decides by tolerance.
-SEPARABLE_MARGIN = 10
-
-
-def _solve_separable(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c.x in closed form when every row bounds a single variable.
-
-    Returns what `_run_highs` would, (x, fun, ub duals, eq duals), with x
-    bit for bit HiGHS's. Its presolve turns each row a x_j <= b into the
-    bound b / a, sets a column of negative cost to its upper bound, one of
-    positive cost to its lower bound and one of zero cost to the bound of
-    smaller magnitude (the lower one on a tie), and reports a zero as -0.0.
-    Each column's cost sits as the dual on one row that binds it.
-
-    Returns None, leaving the LP to HiGHS, when there is an equality row,
-    a row without exactly one nonzero, or an infinite or infeasible
-    optimum. It also leaves to HiGHS every LP that comes near a case
-    HiGHS settles by its tolerances or its processing order rather than
-    by this rule, with near = SEPARABLE_MARGIN times HiGHS's primal
-    feasibility tolerance:
-    - a coefficient of magnitude outside [near, 1 / near], or a
-      right-hand side or cost above 1 / near (HiGHS drops tiny
-      coefficients, reads huge values as infinite, and checks rows in
-      absolute terms, where rounding in large activities shows);
-    - two bounds of a column within near of each other, in x or in the
-      activity of one of the column's rows (presolve keeps the one it
-      meets first);
-    - an optimal x_j other than zero within near of zero (HiGHS may
-      report it as zero).
-    """
-    m, n = a_ub.shape
-    if b_eq.size or not n or np.count_nonzero(a_ub) != m:
-        return None
-    rows, cols = np.nonzero(a_ub)
-    if rows.tolist() != list(range(m)):
-        return None
-    cost, cols, coefs = c.tolist(), cols.tolist(), a_ub[rows, cols].tolist()
-    near = SEPARABLE_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
-    if not all(abs(v) <= 1 / near for v in cost):
-        return None
-    hi, lo, scale, bounds = [math.inf] * n, [-math.inf] * n, [1.0] * n, []
-    for j, a, b in zip(cols, coefs, b_ub.tolist()):
-        if not (near <= abs(a) <= 1 / near and abs(b) <= 1 / near):
-            return None
-        q = b / a
-        bounds.append(q)
-        if a > 0:
-            hi[j] = min(hi[j], q)
-        else:
-            lo[j] = max(lo[j], q)
-        scale[j] = min(scale[j], abs(a))
-    x = []
-    for cj, h, l, s in zip(cost, hi, lo, scale):
-        xj = h if cj < 0 else l if cj > 0 else h if abs(h) < abs(l) else l
-        if (h - l) * s <= near or 0 < abs(xj) * s <= near or not math.isfinite(xj):
-            return None
-        x.append(xj or -0.0)
-    y_ub = np.zeros(m)
-    unplaced = list(cost)  # each column's cost goes on the first row binding it
-    for r, (j, a, q) in enumerate(zip(cols, coefs, bounds)):
-        gap = abs(q - (hi[j] if a > 0 else lo[j]))
-        if 0 < gap * scale[j] <= near:
-            return None
-        if gap == 0 and unplaced[j] and (a > 0) == (unplaced[j] < 0):
-            y_ub[r] = unplaced[j] / a
-            unplaced[j] = 0.0
-    x = np.array(x)
-    return x, float(c @ x), y_ub, np.zeros(0)
+# `_solve_l1_pivot` keeps from the cases HiGHS decides by tolerance.
+L1_PIVOT_MARGIN = 10
 
 
 @functools.lru_cache(maxsize=32)
@@ -371,8 +303,9 @@ def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
 
     Returns None, leaving the LP to HiGHS, for any other shape, for
     non-finite a or g, and near a case HiGHS settles by its tolerances,
-    with near as in `_solve_separable`: another |a_j| above 1 - near (a
-    near tie for the pivot), or 0 < |g| < near or |g| > 1 / near.
+    with near = L1_PIVOT_MARGIN times HiGHS's primal feasibility
+    tolerance: another |a_j| above 1 - near (a near tie for the pivot),
+    or 0 < |g| < near or |g| > 1 / near.
     """
     nr = c.shape[0] // 2
     if b_eq.shape[0] != 1 or not nr:
@@ -383,7 +316,7 @@ def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
     a, g = a_eq[0, :nr], float(b_eq[0])
     if a_eq[0, nr:].any():
         return None
-    near = SEPARABLE_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
+    near = L1_PIVOT_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
     mags = np.abs(a)
     i = int(mags.argmax())  # the first NaN, if any
     if mags[i] != 1.0 or not (g == 0 or near <= abs(g) <= 1 / near):

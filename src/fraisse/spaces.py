@@ -179,16 +179,32 @@ class LinearMap:
     def op_norm(self):
         """max over the domain ball of the codomain norm of the image.
 
-        One LP per codomain norming row: max g_j(Tx) over |f_i(x)| <= 1.
-        The ball is symmetric, so the negative sign of each row attains the
-        same value and a single sign per row suffices.
+        One value per codomain norming row: max g.x over |f_i(x)| <= 1 for
+        g = g_j T. The ball is symmetric, so the negative sign of each row
+        attains the same value and a single sign per row suffices. Each
+        value is an LP, except out of an identity-normed domain on the
+        float engine: there the ball is the box |x_i| <= 1, whose dual is
+        the l1 ball, so the value is sum |g_i|, attained at the vertex
+        x_i = 1 where g_i > 0 and -1 elsewhere. That vertex is the point
+        HiGHS returns for the box LP, and g @ x is how the float engine
+        turns its point into the value, so the sum is the LP's value bit
+        for bit. A sum that is not finite (the map overflows) raises
+        ValueError, as the LP route's input check does on a non-finite g.
         """
         key = ("op_norm", current_engine())
         if key not in self._cache:
+            box = self.dom.is_linf and key[1] == "float"
             ball_a, ball_b = self.dom.ball_constraints()
             best = 0.0
             for row in self.cod.norming:
-                best = max(best, solve_lp(row @ self.matrix, a_ub=ball_a, b_ub=ball_b).value)
+                g = row @ self.matrix
+                if box:
+                    value = float(g @ np.where(g > 0, 1.0, -1.0))
+                    if not math.isfinite(value):
+                        raise ValueError(f"op_norm overflows: a codomain row sums to {value}")
+                else:
+                    value = solve_lp(g, a_ub=ball_a, b_ub=ball_b).value
+                best = max(best, value)
             self._cache[key] = best
         return self._cache[key]
 

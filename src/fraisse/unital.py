@@ -251,8 +251,13 @@ def build_poulsen_chain(depth, targets_per_step=1, *, seed):
     is the quantity that is supposed to shrink as the tower grows. Every
     stage is identity normed (each step appends a coordinate row), so
     every row is extreme. params records SEPARATION_TAU as "tau" and the
-    FUNCTION_SYSTEM modulus beside the arguments.
+    FUNCTION_SYSTEM modulus beside the arguments. A negative depth, or
+    fewer than one target per step, raises ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if targets_per_step < 1:
+        raise ValueError(f"targets_per_step must be at least 1, got {targets_per_step}")
     rng = np.random.default_rng(seed)
     system = simplex_system(2)
     stages = [system]

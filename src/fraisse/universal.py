@@ -195,8 +195,11 @@ def build_universal_operator_chain(depth, dom_cap=10, cod_cap=10, *, seed):
     with an identity connective. Every record keeps the template
     parameters and the maps resolving the template into the stage it was
     folded at; the test battery generator replays exactly those. params
-    records FOLD_DELTA as "delta" beside the arguments.
+    records FOLD_DELTA as "delta" beside the arguments. A negative depth
+    raises ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     rng = np.random.default_rng(seed)
     t0 = ArrowObject(LinearMap(LinfSpace(1), LinfSpace(1), np.eye(1)), "stage0")
     stages = [t0]

@@ -13,8 +13,8 @@ the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
 that -0.0 reads as 0.0, and maximize), a sha256 of the outcome (the
 value and `x.tobytes()`, or the name of the exception raised) and the
 fraisse call path that asked for it. The artifact's content hash, or the
-round's digest, goes to stderr with the number of float solves that each
-closed form served: `lp._solve_separable` and `lp._solve_l1_pivot`.
+round's digest, goes to stderr with the number of float solves that the
+one closed form in front of HiGHS, `lp._solve_l1_pivot`, served.
 
 `compare` checks that the second stream is the first one in the same
 order with some solves left out, matching each solve on its engine, its
@@ -79,8 +79,8 @@ def call_path():
 def spy(out):
     """Wrap both solvers so that every solve writes its line to out.
 
-    Returns a Counter of the solves of each engine and, under the name
-    of each closed form, of the float solves it served.
+    Returns a Counter of the solves of each engine and, under
+    "l1 pivot", of the float solves the closed form served.
     """
     from fraisse import lp
 
@@ -103,26 +103,19 @@ def spy(out):
 
         return spied
 
-    def closed_form(name, solve):
-        def counted(*args):
-            solved = solve(*args)
-            solves[name] += solved is not None
-            return solved
-
-        return counted
+    def l1_pivot(*args, _solve=lp._solve_l1_pivot):
+        solved = _solve(*args)
+        solves["l1 pivot"] += solved is not None
+        return solved
 
     lp._solve_float = wrap("float", lp._solve_float)
     lp._solve_exact = wrap("exact", lp._solve_exact)
-    lp._solve_separable = closed_form("separable", lp._solve_separable)
-    lp._solve_l1_pivot = closed_form("l1 pivot", lp._solve_l1_pivot)
+    lp._solve_l1_pivot = l1_pivot
     return solves
 
 
 def served(solves):
-    return (
-        f"closed forms served separable {solves['separable']}, "
-        f"l1 pivot {solves['l1 pivot']} of {solves['float']} float solves"
-    )
+    return f"closed form served l1 pivot {solves['l1 pivot']} of {solves['float']} float solves"
 
 
 def run_build(name, kwargs, engine, solves):

@@ -91,6 +91,18 @@ INPUT_CHECKS = {
         ValueError,
         "t must be a probability vector",
     ),
+    "gurarij depth": (lambda: build_gurarij_chain(-2, seed=0), ValueError, "depth must be nonnegative, got -2"),
+    "poulsen depth": (lambda: unital.build_poulsen_chain(-1, seed=0), ValueError, "depth must be nonnegative, got -1"),
+    "poulsen targets": (
+        lambda: unital.build_poulsen_chain(1, 0, seed=0),
+        ValueError,
+        "targets_per_step must be at least 1, got 0",
+    ),
+    "operator depth": (
+        lambda: build_universal_operator_chain(-1, seed=0),
+        ValueError,
+        "depth must be nonnegative, got -1",
+    ),
 }
 
 

@@ -115,11 +115,12 @@ def test_engine_scope_reaches_every_solve(solves, tmp_path):
 
 
 def test_cached_norms_follow_the_engine(solves):
-    t = LinearMap(LinfSpace(1), LinfSpace(1), [[0.5]])
-    assert t.op_norm() == 0.5
+    # out of a domain that is not linf^n, so the float engine solves an LP too
+    t = LinearMap(NormedSpace([[2.0]]), LinfSpace(1), [[0.5]])
+    assert t.op_norm() == 0.25
     with use_engine("exact"):
-        assert t.op_norm() == 0.5
-    assert t.op_norm() == 0.5
+        assert t.op_norm() == 0.25
+    assert t.op_norm() == 0.25
     assert solves == {"float": 1, "exact": 1}
 
 
@@ -326,13 +327,11 @@ def _thawed(frozen):
     return float.fromhex(frozen["value"]), np.array([float.fromhex(v) for v in frozen["x"]]).tobytes()
 
 
-def test_direct_highs_matches_linprog(monkeypatch):
+def test_direct_highs_matches_linprog():
     # linprog(method="highs")'s outcomes, frozen while the float engine could still call it
     frozen = json.loads(LINPROG_OUTCOMES.read_text())
     battery = list(_lp_battery(11))
     assert _battery_digest(battery) == frozen["battery_sha256"]
-    # the solver runs: the closed form would serve the separable LPs
-    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
     direct = [_outcome(args) for args in battery]
     for args, d, v in zip(battery, direct, frozen["outcomes"], strict=True):
         assert d == _thawed(v), args
@@ -460,35 +459,38 @@ def _separable_battery(seed):
     yield np.array([-1.0, 1e6]), two, np.array([1e6, 1e6, 1.0, 1.0])
 
 
-def test_closed_form_matches_highs_bit_for_bit(monkeypatch):
-    battery = list(_separable_battery(5))
-    served = 0
-    for cost, a_ub, b_ub in battery:
-        none = np.zeros((0, cost.shape[0])), np.zeros(0)
-        closed = lp._solve_separable(cost, a_ub, b_ub, *none)
-        if closed is not None:
-            served += 1
-            highs = lp._run_highs(cost, a_ub, b_ub, *none)[0]
-            assert closed[0].tobytes() == highs.tobytes(), (cost, a_ub, b_ub, closed[0], highs)
-    assert served >= 50  # exercised, not only bypassed (109 of 331 at seed 5)
-    # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
-    args = [(cost, a_ub, b_ub, None, None, False) for cost, a_ub, b_ub in battery]
-    with_closed_form = [_outcome(a) for a in args]
-    monkeypatch.setattr(lp, "_solve_separable", lambda *args: None)
-    for a, mine, highs in zip(args, with_closed_form, [_outcome(a) for a in args]):
-        assert mine == highs, a
-    kinds = {o if isinstance(o, type) else "solved" for o in with_closed_form}
-    assert kinds == {"solved", LPError, LPInfeasible, LPUnbounded, ValueError}
+def _linf_map_battery(seed):
+    """Seeded maps out of linf^n (n <= 6) into linf^m or a random polytope norm (m <= 6).
+
+    Entries are normal draws scaled by 1e-13 up to 1e15, some of them
+    +-0.0, and some rows or whole maps zero.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            cod = LinfSpace(m)
+        else:
+            w = rng.normal(size=(m + int(rng.integers(0, 4)), m))
+            cod = NormedSpace(w * 10.0 ** rng.uniform(-2, 2, size=(w.shape[0], 1)))
+        t = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-13, 15, size=(m, n))
+        t[rng.random((m, n)) < 0.2] = rng.choice([0.0, -0.0])
+        t[rng.random(m) < 0.1] = -0.0
+        yield LinearMap(LinfSpace(n), cod, t * (rng.random() > 0.02))
 
 
-def test_closed_form_leaves_equality_rows_and_near_ties_to_highs():
-    box, ones, none = np.array([[1.0], [-1.0]]), np.ones(2), (np.zeros((0, 1)), np.zeros(0))
-    assert lp._solve_separable(np.array([-1.0]), box, ones, *none) is not None
-    assert lp._solve_separable(np.array([-1.0]), box, ones, np.ones((1, 1)), np.ones(1)) is None
-    # x <= 1 then x <= 1 - 1e-9: HiGHS keeps the first bound it meets, not the tighter one
-    near = np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, 1.0 - 1e-9, 1.0])
-    assert lp._run_highs(np.array([-1.0]), *near, *none)[0].tolist() == [1.0]
-    assert lp._solve_separable(np.array([-1.0]), *near, *none) is None
+def test_linf_op_norm_matches_the_highs_route_bit_for_bit():
+    for t in _linf_map_battery(20):
+        ball_a, ball_b = t.dom.ball_constraints()
+        best = 0.0
+        for row in t.cod.norming:
+            best = max(best, solve_lp(row @ t.matrix, a_ub=ball_a, b_ub=ball_b).value)
+        assert np.float64(t.op_norm()).tobytes() == np.float64(best).tobytes(), t.matrix
+
+
+def test_linf_op_norm_that_overflows_raises():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        LinearMap(LinfSpace(2), LinfSpace(1), [[1e308, -1e308]]).op_norm()
 
 
 def test_linf1_op_norm_never_calls_highs(monkeypatch):
@@ -500,18 +502,6 @@ def test_linf1_op_norm_never_calls_highs(monkeypatch):
     assert calls == []
 
 
-def test_closed_form_answers_are_still_checked(monkeypatch):
-    solve = lp._solve_separable
-
-    def off(*args):
-        x, fun, y_ub, y_eq = solve(*args)
-        return x + 1e-6, fun, y_ub, y_eq
-
-    monkeypatch.setattr(lp, "_solve_separable", off)
-    with pytest.raises(LPError, match="inequality residual"):
-        solve_lp(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]), b_ub=np.ones(2))
-
-
 def _l1_pivot_battery(seed):
     """Seeded one-row LPs of `spaces._least_coefficient_sum`, as `_run_highs` takes them.
 
@@ -521,7 +511,7 @@ def _l1_pivot_battery(seed):
     an all-zero row and non-finite a or g.
     """
     rng = np.random.default_rng(seed)
-    near = lp.SEPARABLE_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
+    near = lp.L1_PIVOT_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
 
     def lp_of(a, g):
         nr = len(a)
@@ -570,7 +560,7 @@ def test_l1_pivot_matches_highs_bit_for_bit(monkeypatch):
 
 
 def test_l1_pivot_leaves_other_shapes_and_near_cases_to_highs():
-    near = lp.SEPARABLE_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
+    near = lp.L1_PIVOT_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
     c, a_ub, b_ub = lp.l1_template(3)
 
     def pivot(a, g, c=c, a_ub=a_ub, b_ub=b_ub):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fraisse.amalgam import nap_amalgamate
 from fraisse.certify import (
     Certificate,
     canonical_dumps,
@@ -196,6 +197,65 @@ def test_cli_verify_tampered_certificate(tmp_path, capsys):
     # the recomputation disagrees with the tampered value: not faithful
     assert rc == 1
     assert "faithful False" in capsys.readouterr().out
+
+
+def _nap_certificate_json():
+    f = LinearMap(LinfSpace(1), LinfSpace(1), [[1.0]])
+    return nap_amalgamate(f, f).certificate(f, f).to_json()
+
+
+def _unhashed(cert, **fields):
+    """cert with fields replaced and no inputs hash, so only the decoding can object."""
+    del cert["inputs_hash"]
+    return {**cert, **fields}
+
+
+def _null_matrix_entry(cert):
+    cert["inputs"]["f_x"]["matrix"][0][0] = None
+    return _unhashed(cert)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda cert: [cert],
+        lambda cert: _unhashed(cert, inputs=[]),
+        lambda cert: _unhashed(cert, bound=None),
+        _null_matrix_entry,
+    ],
+    ids=["top-level list", "inputs list", "null bound", "null matrix entry"],
+)
+def test_cli_verify_json_of_the_wrong_shape_is_a_configuration_error(tamper, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(tamper(_nap_certificate_json())))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check-face", "check-biface"])
+def test_cli_check_input_of_the_wrong_shape_is_a_configuration_error(command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text("[1]")
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: input of the wrong shape")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-gurarij", "--depth", "-2"], "depth must be nonnegative, got -2"),
+        (["build-poulsen", "--depth", "-1"], "depth must be nonnegative, got -1"),
+        (["build-poulsen", "--targets-per-step", "0"], "targets_per_step must be at least 1, got 0"),
+        (["universal-op", "--depth", "-1"], "depth must be nonnegative, got -1"),
+        (["universal-state", "--depth", "-1"], "depth must be nonnegative, got -1"),
+    ],
+)
+def test_cli_builders_reject_a_negative_size(argv, message, tmp_path, capsys):
+    assert main([*argv, "--seed", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_check_face_and_biface_defaults(capsys):

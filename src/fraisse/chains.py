@@ -512,12 +512,15 @@ def _best_contraction_lp(dom, cod, phi_mat, target_mat, source, pattern=None):
 
 def _extreme_directions(space):
     """One unit-sphere extreme point per sign orthant (up to antipodes),
-    found by supporting the ball against each signed coordinate sum."""
+    found by supporting the ball against each signed coordinate sum.
+
+    On an identity-normed space the ball is the box and that point is
+    the sign vector itself, the LP's unique maximizer, so no LP is solved.
+    """
     out = []
     for bits in itertools.product([1.0, -1.0], repeat=space.dim - 1):
         sigma = np.array((1.0,) + bits)
-        res = solve_lp(sigma, *space.ball_constraints(1.0), maximize=True)
-        out.append(res.x)
+        out.append(sigma if space.is_linf else solve_lp(sigma, *space.ball_constraints(1.0), maximize=True).x)
     return out
 
 

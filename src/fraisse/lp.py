@@ -1,9 +1,10 @@
 """Linear-programming backends.
 
 Two interchangeable engines behind one call: a floating-point engine
-whose answers are re-checked against primal residuals and the dual gap,
-and an exact two-phase simplex over Fractions (Bland's rule) for small
-instances where the certificate must be arithmetic-exact.
+whose answers are re-checked for primal and dual feasibility and the
+duality gap, and an exact two-phase simplex over Fractions (Bland's
+rule) for small instances where the certificate must be
+arithmetic-exact.
 
 The float engine calls the dual simplex of the HiGHS build bundled with
 scipy (1.15 and later) directly through its bindings
@@ -16,16 +17,25 @@ registered under their own name, without running `scipy.optimize`'s
 would take most of the time and memory of `import fraisse`; a later
 `import scipy.optimize` reuses the same module. Each thread keeps one
 HiGHS instance, given the options once, and hands it one model per
-solve. In front of HiGHS sits one closed form, giving HiGHS's point
-bit for bit and passing the same solution checks: least-coefficient-sum
-LPs with one equality row a.lam = g whose largest |a_i| is exactly 1
-and unique (the Hahn-Banach extensions into l-infinity stages along
-signed coordinate injections), matched against the `l1_template` they
-are built from. Everything else falls through to HiGHS, as does every
-such LP that is non-finite or near one of HiGHS's tolerances (a near
-tie for the pivot, or g near 0 or huge), so exceptions keep HiGHS's
-types. (The op_norm LPs over l-infinity balls are not posed at all:
-`spaces.LinearMap.op_norm` sums them in closed form.)
+solve.
+
+In front of HiGHS sit two closed forms for the least-coefficient-sum
+LPs min sum |lam| subject to a @ lam = g, recognized by one match
+against the `l1_template` they are built from:
+- one row whose largest |a_i| is exactly 1 and unique (the Hahn-Banach
+  extensions into l-infinity stages along signed coordinate
+  injections), solved to HiGHS's point bit for bit;
+- two rows (the extensions of functionals on 2-dimensional spaces),
+  solved on the column pair i, j with the least |mu_i| + |mu_j| for
+  mu = [a_i a_j]^-1 g. That is HiGHS's vertex, but its coordinates
+  need not be HiGHS's bit for bit.
+Both answers pass the same solution checks as HiGHS's, duals included,
+so each is proved optimal. Everything else falls through to HiGHS, as
+does every such LP that is non-finite or near one of HiGHS's
+tolerances (a near tie, a degenerate vertex, or g near 0 or huge), so
+exceptions keep HiGHS's types. (The op_norm LPs over l-infinity balls
+are not posed at all: `spaces.LinearMap.op_norm` sums them in closed
+form.)
 
 The `use_engine` scope is the only engine selector: the innermost scope
 decides, "float" runs outside every scope, and `fraisse --engine` opens
@@ -232,8 +242,8 @@ class LPBuilder:
 
 def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
     args = (-1.0 if maximize else 1.0) * c, a_ub, b_ub, a_eq, b_eq
-    x, fun, y_ub, y_eq = _solve_l1_pivot(*args) or _run_highs(*args)
-    _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq)
+    x, y_ub, y_eq = _solve_l1_closed_form(*args) or _run_highs(*args)
+    _check_float_solution(*args, x, y_ub, y_eq)
     value = float(c @ x)
     return LPResult(value, x, "float")
 
@@ -265,8 +275,8 @@ def _thread_highs():
     return highs
 
 
-# How far, in multiples of HiGHS's primal feasibility tolerance,
-# `_solve_l1_pivot` keeps from the cases HiGHS decides by tolerance.
+# How far, in multiples of HiGHS's primal feasibility tolerance, the
+# closed forms keep from the cases HiGHS decides by tolerance.
 L1_PIVOT_MARGIN = 10
 
 
@@ -278,7 +288,7 @@ def l1_template(nr):
     -lam - u <= 0; only the equality rows (a, 0) a caller adds vary. The
     arrays are read-only and kept for the 32 sizes used last, and both
     the builder (`spaces._least_coefficient_sum`) and the recognizer
-    (`_solve_l1_pivot`) take the shape from here.
+    (`_solve_l1_closed_form`) take the shape from here.
     """
     c = np.concatenate([np.zeros(nr), np.ones(nr)])
     eye = np.eye(nr)
@@ -289,33 +299,44 @@ def l1_template(nr):
     return c, a_ub, b_ub
 
 
-def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize sum |lam| subject to one row a.lam = g in closed form when
-    a has a unique entry of magnitude exactly 1, the pivot a_i.
+def _solve_l1_closed_form(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize sum |lam| subject to a @ lam = g in closed form, or return None.
 
-    The LP must be `l1_template`'s, bit for bit, with the one equality
-    row (a, 0). Every other |a_j| is at most 1 - near (below), so the
-    optimum is unique: lam_i = g / a_i, u_i = |g| and zero elsewhere,
-    which HiGHS reports as -0.0 (all of x when g == 0). Returns what
-    `_run_highs` would, with x bit for bit HiGHS's and the true duals:
-    y_eq = sign(g), and (-1 - a_j y_eq) / 2, (-1 + a_j y_eq) / 2 on the
-    two sign rows of column j.
-
-    Returns None, leaving the LP to HiGHS, for any other shape, for
-    non-finite a or g, and near a case HiGHS settles by its tolerances,
-    with near = L1_PIVOT_MARGIN times HiGHS's primal feasibility
-    tolerance: another |a_j| above 1 - near (a near tie for the pivot),
-    or 0 < |g| < near or |g| > 1 / near.
+    The LP must be `l1_template`'s, bit for bit, with the equality rows
+    (a, 0) = g. `L1_CLOSED_FORMS` maps the number of rows to the form
+    that solves it; a form returns what `_run_highs` would, duals
+    included, or None to leave the LP to HiGHS.
     """
     nr = c.shape[0] // 2
-    if b_eq.shape[0] != 1 or not nr:
+    form = L1_CLOSED_FORMS.get(b_eq.shape[0])
+    if form is None or not nr:
         return None
     for arr, fixed in zip((c, a_ub, b_ub), l1_template(nr)):
         if arr.shape != fixed.shape or arr.tobytes() != fixed.tobytes():
             return None
-    a, g = a_eq[0, :nr], float(b_eq[0])
-    if a_eq[0, nr:].any():
+    if a_eq[:, nr:].any():
         return None
+    return form(a_eq[:, :nr], b_eq)
+
+
+def _solve_l1_pivot(a, g):
+    """One row a.lam = g whose a has a unique entry of magnitude exactly
+    1, the pivot a_i.
+
+    Every other |a_j| is at most 1 - near (below), so the optimum is
+    unique: lam_i = g / a_i, u_i = |g| and zero elsewhere, which HiGHS
+    reports as -0.0 (all of x when g == 0). Returns x bit for bit
+    HiGHS's and the true duals: y_eq = sign(g), and (-1 - a_j y_eq) / 2,
+    (-1 + a_j y_eq) / 2 on the two sign rows of column j.
+
+    Returns None, leaving the LP to HiGHS, for non-finite a or g, and
+    near a case HiGHS settles by its tolerances, with near =
+    L1_PIVOT_MARGIN times HiGHS's primal feasibility tolerance: another
+    |a_j| above 1 - near (a near tie for the pivot), or 0 < |g| < near
+    or |g| > 1 / near.
+    """
+    a, g = a[0], float(g[0])
+    nr = a.shape[0]
     near = L1_PIVOT_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
     mags = np.abs(a)
     i = int(mags.argmax())  # the first NaN, if any
@@ -330,7 +351,73 @@ def _solve_l1_pivot(c, a_ub, b_ub, a_eq, b_eq):
         x[nr + i] = abs(g)
     y = math.copysign(1.0, g) if g else 0.0
     t = a * y
-    return x, abs(g), np.concatenate([-1.0 - t, -1.0 + t]) / 2, np.array([y])
+    return x, np.concatenate([-1.0 - t, -1.0 + t]) / 2, np.array([y])
+
+
+@functools.lru_cache(maxsize=32)
+def _column_pairs(nr):
+    """The pairs i < j of range(nr), as two read-only index arrays; cached,
+    because `np.triu_indices` costs a fifth of the two-row form."""
+    pairs = np.triu_indices(nr, 1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
+def _solve_l1_two_row(a, g):
+    """Two rows a @ lam = g, solved on the best pair of columns.
+
+    An optimal vertex rests on two columns i < j of a, with lam_i, lam_j
+    = mu = [a_i a_j]^-1 g by Cramer's rule and zero elsewhere, so the
+    optimum is the pair with the least |mu_i| + |mu_j|; pairs whose
+    determinant is within near of 0, relative to the column sizes, are
+    skipped. The duals are y_eq solving [a_i a_j]^T y = sign(mu) and, as
+    in the pivot, (-1 - a_k.y) / 2, (-1 + a_k.y) / 2 on the two sign rows
+    of column k; |a_k.y| <= 1 for every k proves the pair optimal. x is
+    -0.0 off the pair, as HiGHS reports it.
+
+    Returns None, leaving the LP to HiGHS, with near = L1_PIVOT_MARGIN
+    times HiGHS's primal feasibility tolerance, for non-finite a or g,
+    for a of rank below 2 (no pair clear of singular), for g = 0 or its
+    largest entry below near or above 1 / near, for a second pair within
+    near of the best sum (relative to it, a near tie), for a mu within
+    near of 0 relative to the sum (a degenerate vertex, whose duals are
+    not unique), and for a y with some |a_k.y| above 1 + near (the
+    optimum rests on a pair skipped as near-singular).
+    """
+    near = L1_PIVOT_MARGIN * _HIGHS_OPTIONS.primal_feasibility_tolerance
+    if not (np.isfinite(a).all() and np.isfinite(g).all() and near <= abs(g).max() <= 1 / near):
+        return None
+    nr = a.shape[1]
+    i, j = _column_pairs(nr)
+    det = a[0, i] * a[1, j] - a[1, i] * a[0, j]
+    size = abs(a).max(axis=0)
+    clear = abs(det) > near * size[i] * size[j]
+    if not clear.any():
+        return None
+    i, j, det = i[clear], j[clear], det[clear]
+    cross = g[0] * a[1] - g[1] * a[0]  # det(g, a_k) for every column k
+    mu_i, mu_j = cross[j] / det, -cross[i] / det
+    sums = abs(mu_i) + abs(mu_j)
+    k = int(sums.argmin())
+    total = sums[k]
+    sums[k] = np.inf
+    mu = np.array([mu_i[k], mu_j[k]])
+    if sums.min() <= total * (1 + near) or abs(mu).min() <= near * total:
+        return None
+    i, j, (s_i, s_j) = int(i[k]), int(j[k]), np.sign(mu)
+    y = np.array([s_i * a[1, j] - s_j * a[1, i], s_j * a[0, i] - s_i * a[0, j]]) / det[k]
+    t = y @ a
+    if abs(t).max() > 1 + near:
+        return None
+    x = np.full(2 * nr, -0.0)
+    x[[i, j]] = mu
+    x[[nr + i, nr + j]] = abs(mu)
+    return x, np.concatenate([-1.0 - t, -1.0 + t]) / 2, y
+
+
+# The closed forms in front of HiGHS, by the number of equality rows.
+L1_CLOSED_FORMS = {1: _solve_l1_pivot, 2: _solve_l1_two_row}
 
 
 def _check_input(c, a_ub, b_ub, a_eq, b_eq):
@@ -402,19 +489,22 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
         or (np.abs(b_eq - row[m_ub:]) > tol).any()
     ):
         raise LPError("LP solution violates the constraints beyond linprog's tolerance")
-    return x, fun, y[:m_ub], y[m_ub:]
+    return x, y[:m_ub], y[m_ub:]
 
 
-def _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq):
-    """Recheck a solve of min c.x: finite, primal feasible, no duality gap.
+def _check_float_solution(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq):
+    """Recheck a solve of min c.x over free x: finite, primal feasible,
+    dual feasible, no duality gap, which together prove x optimal.
 
-    `fun` is the solver's optimal value and y_ub, y_eq its row duals for
-    that minimization.
+    y_ub, y_eq are the solver's row duals for that minimization, in
+    HiGHS's signs: c = a_ub^T y_ub + a_eq^T y_eq with y_ub <= 0.
     """
     x_max = _abs_max(x)  # NaN or inf exactly when some entry of x is
-    if not (math.isfinite(x_max) and math.isfinite(fun) and _finite(y_ub) and _finite(y_eq)):
+    primal = float(c @ x)
+    if not (math.isfinite(x_max) and math.isfinite(primal) and _finite(y_ub) and _finite(y_eq)):
         raise LPError("LP solution or duals not finite")
-    # Primal residuals, scaled by the data magnitude.
+    # Primal residuals, scaled by the magnitude of the right-hand side b
+    # and of the point x that a @ x is compared with b.
     scale = 1.0 + max(_abs_max(b_ub), _abs_max(b_eq), x_max)
     if a_ub.size:
         viol = (a_ub @ x - b_ub).max()
@@ -424,8 +514,15 @@ def _check_float_solution(x, fun, y_ub, y_eq, a_ub, b_ub, a_eq, b_eq):
         viol = abs(a_eq @ x - b_eq).max()
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"equality residual {viol:.3e} exceeds tolerance")
+    # Dual residuals, scaled the same way from the dual's side: c is its
+    # right-hand side and y its point.
+    dual_scale = 1.0 + max(_abs_max(c), _abs_max(y_ub), _abs_max(y_eq))
+    viol = _abs_max(c - a_ub.T @ y_ub - a_eq.T @ y_eq)
+    if viol > RESIDUAL_TOL * dual_scale:
+        raise LPError(f"dual residual {viol:.3e} exceeds tolerance")
+    if y_ub.size and y_ub.max() > RESIDUAL_TOL * dual_scale:
+        raise LPError(f"inequality dual {y_ub.max():.3e} has the wrong sign")
     dual = (float(b_ub @ y_ub) if b_ub.size else 0.0) + (float(b_eq @ y_eq) if b_eq.size else 0.0)
-    primal = float(fun)
     if abs(primal - dual) > GAP_TOL * (1.0 + abs(primal)):
         raise LPError(f"duality gap {abs(primal - dual):.3e} exceeds tolerance")
 

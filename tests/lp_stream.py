@@ -13,8 +13,9 @@ the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
 that -0.0 reads as 0.0, and maximize), a sha256 of the outcome (the
 value and `x.tobytes()`, or the name of the exception raised) and the
 fraisse call path that asked for it. The artifact's content hash, or the
-round's digest, goes to stderr with the number of float solves that the
-one closed form in front of HiGHS, `lp._solve_l1_pivot`, served.
+round's digest, goes to stderr with the number of float solves that each
+closed form in front of HiGHS served, by its name in
+`lp.L1_CLOSED_FORMS`.
 
 `compare` checks that the second stream is the first one in the same
 order with some solves left out, matching each solve on its engine, its
@@ -79,8 +80,10 @@ def call_path():
 def spy(out):
     """Wrap both solvers so that every solve writes its line to out.
 
-    Returns a Counter of the solves of each engine and, under
-    "l1 pivot", of the float solves the closed form served.
+    Returns a Counter of the solves of each engine and, under the name
+    of each closed form in `lp.L1_CLOSED_FORMS`, of the float solves it
+    served; every form is wrapped where the dispatch looks it up, so
+    none can be renamed, merged or added without being counted.
     """
     from fraisse import lp
 
@@ -103,19 +106,25 @@ def spy(out):
 
         return spied
 
-    def l1_pivot(*args, _solve=lp._solve_l1_pivot):
-        solved = _solve(*args)
-        solves["l1 pivot"] += solved is not None
-        return solved
+    def counted(form):
+        def spied(*args):
+            solved = form(*args)
+            solves[form.__name__] += solved is not None
+            return solved
+
+        return spied
 
     lp._solve_float = wrap("float", lp._solve_float)
     lp._solve_exact = wrap("exact", lp._solve_exact)
-    lp._solve_l1_pivot = l1_pivot
+    for rows, form in lp.L1_CLOSED_FORMS.items():
+        solves[form.__name__] = 0
+        lp.L1_CLOSED_FORMS[rows] = counted(form)
     return solves
 
 
 def served(solves):
-    return f"closed form served l1 pivot {solves['l1 pivot']} of {solves['float']} float solves"
+    forms = ", ".join(f"{name} {count}" for name, count in solves.items() if name not in ("float", "exact"))
+    return f"closed forms served {forms} of {solves['float']} float solves"
 
 
 def run_build(name, kwargs, engine, solves):

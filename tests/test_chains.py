@@ -1,5 +1,6 @@
 """Stage towers: nets, growth, certified extension, coupling, factorization."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -16,12 +17,13 @@ from fraisse.chains import (
     certify_extension,
     nuclearity_witness,
 )
-from fraisse.lp import use_engine
+from fraisse.lp import solve_lp, use_engine
 from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
 
 # A build whose walk filters later sources in the middle of a step: its
-# folds and extensions reach linf^2 and a polytope2 source.
-RESUMPTION_HASH = "9012b1bd38530f92e201d6c5f9344e60d3e25983cb627e4da9a92396eac5af39"
+# folds and extensions reach linf^2 and a polytope2 source, whose
+# extensions solve two-row least-coefficient-sum LPs in closed form.
+RESUMPTION_HASH = "b3ae65727329565f535682381fbfa4e22c76ca649fed4965ef85b55f37a18eb0"
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,8 @@ def test_walk_resumes_into_later_sources_frozen():
         depth=2, dim_cap=20, net_resolution=0.25, seed=3, extend_per_step=12
     )
     assert _sources(chain) == {"linf^1": 21, "linf^2": 9, "polytope2": 3}
+    for rec in chain.records:
+        assert parse_real(rec["defect"]) <= BANACH(parse_real(rec["delta"])) + 1e-7
     assert chain.content_hash() == RESUMPTION_HASH
 
 
@@ -196,6 +200,28 @@ def test_back_and_forth_trace(small_chain):
     assert cert.passed
     ok, _ = verify_certificate(cert)
     assert ok
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_extreme_directions_of_linf_are_the_lp_points(dim, monkeypatch):
+    # the sign vectors, bit for bit what supporting the box by LP gives
+    box = LinfSpace(dim)
+    lp_points = [
+        solve_lp(sigma, *box.ball_constraints(1.0), maximize=True).x
+        for sigma in (np.array((1.0,) + bits) for bits in itertools.product([1.0, -1.0], repeat=dim - 1))
+    ]
+    monkeypatch.setattr(chains, "solve_lp", None)  # no LP on an identity-normed space
+    directions = chains._extreme_directions(box)
+    assert [x.tobytes() for x in directions] == [x.tobytes() for x in lp_points]
+
+
+def test_extreme_directions_of_a_polytope_support_the_ball():
+    space = NormedSpace([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    directions = chains._extreme_directions(space)
+    for sigma, x in zip(([1.0, 1.0], [1.0, -1.0]), directions):
+        assert space.norm(x) == pytest.approx(1.0, abs=1e-9)
+        assert np.dot(sigma, x) == pytest.approx(space.support_value(sigma), abs=1e-9)
+    assert len(directions) == 2
 
 
 def test_nuclearity_witness_linf_exact():

@@ -202,30 +202,54 @@ def test_residual_check_passes_on_solution():
     assert np.max(a @ res.x - b) <= 1e-8
 
 
-@pytest.mark.parametrize("bad", ["x", "fun", "y_ub", "y_eq"])
+@pytest.mark.parametrize("bad", ["x", "c", "y_ub", "y_eq"])
 def test_check_float_solution_rejects_non_finite(bad):
     # x = 1 is the optimum of min x subject to -x <= -1 and x = 1, with
     # duals that close the gap; one NaN anywhere must still fail the check
     lp_data = {"a_ub": [[-1.0]], "b_ub": [-1.0], "a_eq": [[1.0]], "b_eq": [1.0]}
     lp_data = {k: np.array(v) for k, v in lp_data.items()}
-    parts = {"x": np.array([1.0]), "fun": 1.0, "y_ub": np.array([0.0]), "y_eq": np.array([1.0])}
+    parts = {"c": np.array([1.0]), "x": np.array([1.0]), "y_ub": np.array([0.0]), "y_eq": np.array([1.0])}
     lp._check_float_solution(**parts, **lp_data)
     parts[bad] = parts[bad] * np.nan
-    with pytest.raises(LPError):
+    with pytest.raises(LPError, match="not finite"):
         lp._check_float_solution(**parts, **lp_data)
 
 
 @pytest.mark.parametrize(
     "bad, message",
-    [({"x": np.array([1.5])}, "equality residual"), ({"y_eq": np.array([2.0])}, "duality gap")],
+    [({"x": np.array([1.0, 1.5])}, "equality residual"), ({"x": np.array([2.0, 1.0])}, "duality gap")],
 )
 def test_check_float_solution_rejects_infeasible_or_suboptimal(bad, message):
-    # x = 1.5 meets -x <= -1 but not x = 1; the dual 2.0 leaves a gap of 1
-    lp_data = {"a_ub": [[-1.0]], "b_ub": [-1.0], "a_eq": [[1.0]], "b_eq": [1.0]}
+    # min x_0 over 1 <= x_0 <= 5 and x_1 = 1: x = (1.5, 1) misses the
+    # equality row, and x = (2, 1) is feasible but a gap of 1 from the dual
+    # objective of the optimal, dual feasible y
+    lp_data = {"c": [1.0, 0.0], "a_ub": [[-1.0, 0.0], [1.0, 0.0]], "b_ub": [-1.0, 5.0], "a_eq": [[0.0, 1.0]], "b_eq": [1.0]}
     lp_data = {k: np.array(v) for k, v in lp_data.items()}
-    parts = {"x": np.array([1.0]), "fun": 1.0, "y_ub": np.array([0.0]), "y_eq": np.array([1.0])}
+    parts = {"x": np.array([1.0, 1.0]), "y_ub": np.array([-1.0, 0.0]), "y_eq": np.array([0.0])}
+    lp._check_float_solution(**parts, **lp_data)
     with pytest.raises(LPError, match=message):
         lp._check_float_solution(**{**parts, **bad}, **lp_data)
+
+
+@pytest.mark.parametrize(
+    "b_ub, x, y_ub, message",
+    [
+        # x = 1 is feasible but not optimal, and y_ub has the wrong sign and
+        # leaves a residual: c - a_ub^T y_ub = 1.2
+        ([5.0, 0.0], 1.0, [0.0, 0.2], "dual residual"),
+        # the optimum x = 0 with a y that closes the gap but not c = a_ub^T y
+        ([5.0, 0.0], 0.0, [0.0, -0.5], "dual residual"),
+        # over -1 <= x <= 1 the maximizer x = 1, with c = a_ub^T y and no gap,
+        # but y_ub = (1, 0) is the dual of a maximization
+        ([1.0, 1.0], 1.0, [1.0, 0.0], "wrong sign"),
+    ],
+)
+def test_check_float_solution_demands_dual_feasibility(b_ub, x, y_ub, message):
+    # min x subject to x <= b_0 and -x <= b_1: each x is primal feasible
+    lp_data = {"c": [1.0], "a_ub": [[1.0], [-1.0]], "b_ub": b_ub, "a_eq": np.zeros((0, 1)), "b_eq": np.zeros(0)}
+    lp_data = {k: np.array(v) for k, v in lp_data.items()}
+    with pytest.raises(LPError, match=message):
+        lp._check_float_solution(**lp_data, x=np.array([x]), y_ub=np.array(y_ub), y_eq=np.zeros(0))
 
 
 class _ShiftedRows:
@@ -543,7 +567,7 @@ def test_l1_pivot_matches_highs_bit_for_bit(monkeypatch):
     battery = list(_l1_pivot_battery(7))
     served = 0
     for args in battery:
-        closed = lp._solve_l1_pivot(*args)
+        closed = lp._solve_l1_closed_form(*args)
         if closed is not None:
             served += 1
             highs = lp._run_highs(*args)[0]
@@ -552,7 +576,7 @@ def test_l1_pivot_matches_highs_bit_for_bit(monkeypatch):
     # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
     lps = [(*args, False) for args in battery]
     with_closed_form = [_outcome(a) for a in lps]
-    monkeypatch.setattr(lp, "_solve_l1_pivot", lambda *args: None)
+    monkeypatch.setattr(lp, "_solve_l1_closed_form", lambda *args: None)
     for a, mine, highs in zip(lps, with_closed_form, [_outcome(a) for a in lps]):
         assert mine == highs, a
     kinds = {o if isinstance(o, type) else "solved" for o in with_closed_form}
@@ -566,7 +590,7 @@ def test_l1_pivot_leaves_other_shapes_and_near_cases_to_highs():
     def pivot(a, g, c=c, a_ub=a_ub, b_ub=b_ub):
         a = np.atleast_2d(a)
         a_eq = np.hstack([a, np.zeros_like(a)])
-        return lp._solve_l1_pivot(c, a_ub, b_ub, a_eq, np.full(a.shape[0], g))
+        return lp._solve_l1_closed_form(c, a_ub, b_ub, a_eq, np.full(a.shape[0], g))
 
     x = pivot([0.5, -1.0, 1.0 - 2 * near], 0.75)[0]
     assert x.tobytes() == np.array([-0.0, -0.75, -0.0, -0.0, 0.75, -0.0]).tobytes()
@@ -579,17 +603,126 @@ def test_l1_pivot_leaves_other_shapes_and_near_cases_to_highs():
     assert pivot([0.5, -1.0, 0.25], near / 2) is None  # tiny g
     assert pivot([0.5, -1.0, 0.25], 2 / near) is None  # huge g
     assert pivot([0.5, -1.0, 0.25], np.nan) is None
-    assert pivot([[0.5, -1.0, 0.25], [0.0, 0.0, 1.0]], 0.75) is None  # two equality rows
-    assert lp._solve_l1_pivot(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((1, 0)), np.ones(1)) is None
+    assert pivot(np.eye(3), 0.75) is None  # three equality rows: no closed form
+    assert lp._solve_l1_closed_form(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((1, 0)), np.ones(1)) is None
     # not the template: a maximization, a scaled or loosened sign row, a u column in the row
     assert pivot([0.5, -1.0, 0.25], 0.75, c=-c) is None
     assert pivot([0.5, -1.0, 0.25], 0.75, a_ub=a_ub * np.arange(1, 7)[:, None]) is None
     assert pivot([0.5, -1.0, 0.25], 0.75, b_ub=np.eye(6)[0]) is None
     u_in_row = np.array([[0.5, -1.0, 0.25, 0.0, 1e-3, 0.0]])
-    assert lp._solve_l1_pivot(c, a_ub, b_ub, u_in_row, np.array([0.75])) is None
+    assert lp._solve_l1_closed_form(c, a_ub, b_ub, u_in_row, np.array([0.75])) is None
     # at g = 1e-8 HiGHS's point misses the residual check, and solve_lp must still say so
     with pytest.raises(LPError, match="residual"):
         solve_lp(c, a_ub, b_ub, np.hstack([[0.5, -1.0, 0.25], np.zeros(3)])[None, :], [1e-8], maximize=False)
+
+
+def _l1_two_row_lp(a, g):
+    a = np.array(a, dtype=float)
+    c, a_ub, b_ub = lp.l1_template(a.shape[1])
+    return c, a_ub, b_ub, np.hstack([a, np.zeros_like(a)]), np.array(g, dtype=float)
+
+
+def _l1_two_row_battery(seed):
+    """Seeded two-row LPs of `spaces._least_coefficient_sum`, as `_run_highs` takes them.
+
+    Columns of mixed scale, some zero, repeated, negated, rescaled or
+    nearly parallel to another, or with one zero entry; g at 0, tiny,
+    normal, large or on a column's ray.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        nr = int(rng.integers(2, 15))
+        a = rng.normal(size=(2, nr)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        for j in range(nr):
+            kind, k = rng.random(), rng.integers(nr)
+            if kind < 0.04:
+                a[:, j] = 0.0
+            elif kind < 0.08:
+                a[:, j] = a[:, k] * rng.choice([1.0, -1.0, 0.5, 2.0])
+            elif kind < 0.1:
+                a[:, j] = a[:, k] * (1.0 + 1e-8 * rng.normal())
+            elif kind < 0.13:
+                a[rng.integers(2), j] = 0.0
+        g = rng.normal(size=2) * rng.choice([0.0, 1e-8, 1.0, 1.0, 1.0, 1e3, 10.0 ** rng.uniform(-3.0, 5.0)])
+        if rng.random() < 0.1:
+            g = a[:, rng.integers(nr)] * rng.uniform(0.5, 2.0)
+        yield _l1_two_row_lp(a, g)
+
+
+def test_l1_two_row_finds_the_highs_vertex(monkeypatch):
+    battery = list(_l1_two_row_battery(3))
+    served = 0
+    for args in battery:
+        closed = lp._solve_l1_closed_form(*args)
+        if closed is None:
+            continue
+        served += 1
+        nr = args[0].shape[0] // 2
+        x = lp._run_highs(*args)[0]
+        assert set(np.flatnonzero(closed[0][:nr])) == set(np.flatnonzero(x[:nr])), args
+        value, highs = closed[0][nr:].sum(), x[nr:].sum()
+        assert abs(value - highs) <= lp.GAP_TOL * (1.0 + highs), args
+        assert np.array_equal(closed[0][nr:], abs(closed[0][:nr]))
+    assert served >= 150  # exercised, not only bypassed (240 of 400 at seed 3)
+    # what solve_lp makes of each LP, a value or an exception type, is what HiGHS alone gives
+    lps = [(*args, False) for args in battery]
+    with_closed_form = [_outcome(a) for a in lps]
+    monkeypatch.setattr(lp, "_solve_l1_closed_form", lambda *args: None)
+    for a, mine, highs in zip(lps, with_closed_form, [_outcome(a) for a in lps]):
+        if isinstance(highs, type):
+            assert mine is highs, a
+        else:
+            assert mine[0] == pytest.approx(highs[0], rel=lp.GAP_TOL, abs=lp.GAP_TOL), a
+    kinds = {o if isinstance(o, type) else "solved" for o in with_closed_form}
+    # LPError: HiGHS's answer, at its own 1e-7 tolerances, fails a check
+    # (tiny g, or a tie between repeated columns with a dual off by 7e-9)
+    assert kinds == {"solved", LPError, LPInfeasible}
+
+
+_NEAR = lp.L1_PIVOT_MARGIN * lp._HIGHS_OPTIONS.primal_feasibility_tolerance
+
+
+@pytest.mark.parametrize(
+    "a, g, outcome",
+    [
+        pytest.param([[1.0, np.nan, 0.0], [0.0, 1.0, 1.0]], [1.0, 0.5], ValueError, id="non-finite a"),
+        pytest.param([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]], [np.inf, 0.5], ValueError, id="non-finite g"),
+        pytest.param([[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]], [1.0, 0.5], LPInfeasible, id="rank 1, g off its span"),
+        pytest.param([[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]], [1.0, 2.0], 0.5, id="rank 1, g on its span"),
+        pytest.param([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]], [0.0, -0.0], 0.0, id="g = 0"),
+        pytest.param([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]], [_NEAR / 2, 0.0], _NEAR / 2, id="tiny g"),
+        pytest.param([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]], [1.0, 2 / _NEAR], 2 / _NEAR, id="huge g"),
+        # pairs (0, 1) and (0, 2) sum to 2 and 2 - 1e-7
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0 + 1e-7]], [1.0, 1.0], 2.0 - 1e-7, id="near tie"),
+        # the best pair (1, 2) has mu_1 = 0, and the other pair with column 2 is singular
+        pytest.param([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]], [1.0, 0.0], 0.5, id="degenerate vertex"),
+        # the optimum 0.7 a_0 + 0.3 a_1 = g rests on a pair skipped as
+        # near-singular; the best other pair (0, 2) sums to 1 + 3e-5 and its
+        # y has a_1.y = 1 + 1e-4
+        pytest.param([[1.0, 1.0, 0.0], [0.0, 1e-7, 1e-3]], [1.0, 0.3e-7], 1.0, id="near-singular optimum"),
+    ],
+)
+def test_l1_two_row_leaves_to_highs(a, g, outcome):
+    args = _l1_two_row_lp(a, g)
+    assert lp._solve_l1_closed_form(*args) is None
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            solve_lp(*args, maximize=False)
+    else:
+        assert solve_lp(*args, maximize=False).value == pytest.approx(outcome, rel=1e-12)
+
+
+def test_exact_engine_never_takes_a_closed_form(monkeypatch):
+    served = []
+    monkeypatch.setattr(lp, "_solve_l1_closed_form", lambda *args: served.append(1))
+    one_row = _l1_two_row_lp([[0.5, -1.0, 0.25]], [0.75])
+    two_row = _l1_two_row_lp([[1.0, 0.0, 0.5], [0.0, 1.0, 1.0]], [1.0, 0.5])
+    for args, value in ((one_row, 0.75), (two_row, 1.25)):
+        with use_engine("exact"):
+            res = solve_lp(*args, maximize=False)
+        assert res.engine == "exact" and res.exact_value == value
+    assert served == []
+    assert solve_lp(*two_row, maximize=False).value == 1.25 and served == [1]
 
 
 def test_extension_along_a_coordinate_injection_makes_no_highs_call(monkeypatch):
@@ -619,10 +752,10 @@ def _highs_battery():
 
 def _highs_outcome(args):
     try:
-        x, fun, y_ub, y_eq = lp._run_highs(*args)
+        x, y_ub, y_eq = lp._run_highs(*args)
     except (LPError, ValueError) as exc:
         return type(exc)
-    return x.tobytes(), np.float64(fun).tobytes(), y_ub.tobytes(), y_eq.tobytes()
+    return x.tobytes(), y_ub.tobytes(), y_eq.tobytes()
 
 
 def test_reused_instance_answers_as_a_fresh_one():

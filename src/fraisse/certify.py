@@ -138,7 +138,11 @@ class Certificate:
 
     @staticmethod
     def from_json(obj):
-        """The certificate a JSON object holds; JSON of another shape raises ValueError."""
+        """The certificate a JSON object holds.
+
+        JSON of another shape raises ValueError, naming a missing field,
+        and saying so when the object is a tower artifact (it has a kind).
+        """
         if not isinstance(obj, dict):
             raise ValueError(f"a certificate is a JSON object, not a {type(obj).__name__}")
         try:
@@ -152,6 +156,10 @@ class Certificate:
             )
         except TypeError as exc:
             raise ValueError(f"certificate field of the wrong type: {exc}") from exc
+        except KeyError as exc:
+            if "kind" in obj:
+                raise ValueError(f"a {obj['kind']} artifact, not a certificate (no {exc} field)") from None
+            raise ValueError(f"certificate has no {exc} field") from None
         recorded_hash = obj.get("inputs_hash")
         if recorded_hash is not None and recorded_hash != cert.inputs_hash:
             raise ValueError("certificate inputs do not match their recorded hash")
@@ -207,15 +215,20 @@ def verify_certificate(cert):
 
     Returns (faithful, measured_again). faithful means the recomputation
     agrees with the recorded value within VERIFY_TOL (relative for large
-    values) and the pass flag is reproduced. Inputs of the wrong shape
-    raise ValueError.
+    values) and the pass flag is reproduced. Inputs of the wrong shape,
+    or a missing input, raise ValueError.
     """
     claim = CLAIM_REGISTRY.get(cert.claim)
     if claim is None:
         raise KeyError(f"no verifier registered for claim {cert.claim!r}")
+    decoded = {}
     try:
-        decoded = {key: decode(cert.inputs[key]) for key, (_, decode) in claim.fields.items() if decode is not None}
-    except TypeError as exc:
+        for key, (_, decode) in claim.fields.items():
+            if decode is not None:
+                if key not in cert.inputs:
+                    raise ValueError(f"certificate has no input {key!r}")
+                decoded[key] = decode(cert.inputs[key])
+    except (TypeError, KeyError) as exc:
         raise ValueError(f"certificate inputs of the wrong shape: {exc}") from exc
     again = float(claim.measure(**decoded))
     scale = 1.0 + abs(cert.measured)

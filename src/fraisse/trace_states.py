@@ -20,6 +20,14 @@ most SAMPLE_BATCH samples, and block_compress checks all blocks in one
 stacked eigvalsh. Both equal the per-sample formulas bit for bit: the
 sampled defect is exactly what looping random_hermitian_unit and
 pullback_defect over the same seeded generator gives.
+
+DensityMatrix proves positivity with one Cholesky factorization when
+the rounding bound of Higham's Thm 10.3 (Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 2002) puts the least eigenvalue above
+-EIG_TOL; only a factorization that fails, or a trace too large for the
+bound, falls back to eigvalsh's least eigenvalue. Either way an
+accepted matrix has lambda_min >= -EIG_TOL, on the fallback up to
+eigvalsh's own rounding.
 """
 
 import numpy as np
@@ -39,23 +47,54 @@ def _as_complex(m):
     return m
 
 
-def is_hermitian(m):
-    m = _as_complex(m)
-    return float(np.max(np.abs(m - m.conj().T))) <= HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m))))
+def _cholesky_proves_psd(m, tr):
+    """True when a completed Cholesky factorization proves lambda_min(m) >= -EIG_TOL.
+
+    tr is m's trace. m must be exactly Hermitian, as the symmetrized
+    (m + m*) / 2 is bit for bit, since LAPACK reads only one triangle of it.
+    """
+    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.,
+    # 2002), Thm 10.3: a Cholesky factorization of m that runs to
+    # completion, in any summation order, gives R*R = m + D with
+    # |D| <= g |R*| |R|, g = gamma_{n+1} = (n+1)u / (1 - (n+1)u), u = eps/2.
+    # Since || |R*| |R| ||_2 <= ||R||_F^2 = tr(m + D) <= tr(m) + g ||R||_F^2,
+    # lambda_min(m) >= -||D||_2 >= -g tr(m) / (1 - g). The test below asks
+    # 8 (n+1) u tr(m) <= EIG_TOL, a factor 8 over the real-arithmetic
+    # gamma_{n+1}: that covers complex arithmetic (Higham §3.6), the
+    # 1 / (1 - g) and the rounding of tr(m). So a matrix accepted here has
+    # lambda_min >= -EIG_TOL, as eigvalsh's rule requires; at n = 386 and
+    # trace one the left side is 3.4e-13.
+    n = m.shape[0]
+    if 4 * (n + 1) * np.finfo(float).eps * tr > EIG_TOL:
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class DensityMatrix:
-    """Hermitian, positive semidefinite, trace one; the data of a state."""
+    """Hermitian, positive semidefinite, trace one; the data of a state.
+
+    Positivity is proved by a Cholesky factorization of the symmetrized
+    matrix when one completes and 4 (n + 1) eps tr(m) <= EIG_TOL (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3);
+    otherwise eigvalsh's least eigenvalue must be at least -EIG_TOL.
+    """
 
     def __init__(self, matrix):
         m = _as_complex(matrix)
-        if not is_hermitian(m):
+        adjoint = m.conj().T
+        # "not <=" so that a NaN entry fails the check
+        if not float(np.max(np.abs(m - adjoint))) <= HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError("density matrix must be Hermitian")
-        m = (m + m.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -EIG_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
+        m = (m + adjoint) / 2.0
         tr = float(np.trace(m).real)
+        if not _cholesky_proves_psd(m, tr):
+            eigs = np.linalg.eigvalsh(m)
+            if eigs[0] < -EIG_TOL:
+                raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1")
         m.setflags(write=False)

@@ -233,6 +233,38 @@ def test_cli_verify_json_of_the_wrong_shape_is_a_configuration_error(tamper, tmp
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _cli_verify_error(data, tmp_path, capsys):
+    """The one error line `fraisse verify` prints for data, which must exit 2."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+def test_cli_verify_names_a_tower_artifact(tmp_path, capsys):
+    assert main(["build-poulsen", "--depth", "1", "--seed", "0", "--out", str(tmp_path)]) == 0
+    artifact = json.loads(next(tmp_path.glob("poulsen-*.json")).read_text())
+    err = _cli_verify_error(artifact, tmp_path, capsys)
+    assert err == "error: a poulsen artifact, not a certificate (no 'claim' field)"
+
+
+def test_cli_verify_names_a_missing_certificate_field(tmp_path, capsys):
+    cert = _nap_certificate_json()
+    del cert["bound"]
+    err = _cli_verify_error(cert, tmp_path, capsys)
+    assert err == "error: certificate has no 'bound' field"
+
+
+def test_cli_verify_names_a_missing_input(tmp_path, capsys):
+    cert = _nap_certificate_json()
+    del cert["inputs"]["f_x"]
+    err = _cli_verify_error(_unhashed(cert), tmp_path, capsys)
+    assert err == "error: certificate has no input 'f_x'"
+
+
 @pytest.mark.parametrize("command", ["check-face", "check-biface"])
 def test_cli_check_input_of_the_wrong_shape_is_a_configuration_error(command, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -34,8 +34,61 @@ def test_density_validation():
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.ones((2, 3)))
+    # the Hermitian check is the one that refuses non-finite entries
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
     rho = DensityMatrix(np.eye(2) / 2.0)
     assert rho.dim == 2
+
+
+def _trace_one_with_least_eigenvalue(n, lam_min, rng):
+    """U diag(lam_min, ...) U* for a random unitary U, with trace one."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.uniform(0.5, 1.5, size=n - 1)
+    spectrum = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_positivity_agrees_with_the_eigenvalue_rule(n):
+    rng = np.random.default_rng(n)
+    for lam_min in (1e-6, 0.0, -1e-14, -5e-13, -0.9e-12, -1.1e-12, -1e-10, -1e-3):
+        m = _trace_one_with_least_eigenvalue(n, lam_min, rng)
+        # the rule DensityMatrix applied before the Cholesky route
+        old = bool(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] >= -trace_states.EIG_TOL)
+        assert old == (lam_min >= -trace_states.EIG_TOL)
+        try:
+            DensityMatrix(m)
+            accepted = True
+        except ValueError as exc:
+            assert "negative eigenvalue" in str(exc)
+            accepted = False
+        assert accepted == old, (n, lam_min)
+
+
+def test_full_rank_density_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert random_density(386, np.random.default_rng(0)).dim == 386
+
+
+def test_each_positivity_fallback_asks_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    # a pure state is singular, so its factorization fails
+    assert DensityMatrix(np.diag([1.0, 0.0])).dim == 2
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
+    assert len(calls) == 2
+    # trace 2e4 fails the proof condition, so eigvalsh decides, and then the trace check
+    with pytest.raises(ValueError, match="not 1"):
+        DensityMatrix(1e4 * np.eye(2))
+    assert len(calls) == 3
 
 
 def test_expectation_is_real_on_hermitian():

@@ -48,7 +48,14 @@ inputs (no variables, inf or nan) with the same ValueError.
 variables and rows; its `dual_ball_rep` is the motif behind most of
 them: a functional lam^T W with sum |lam| bounded, which ranges over a
 dual ball because that ball is the absolutely convex hull of the norming
-rows W.
+rows W. A builder never forms its dense matrix: it hands the float
+engine the nonzeros column by column, the layout HiGHS takes, where
+`solve_lp`'s dense rows are scanned for theirs, so the coupling LPs of
+`chains._best_contraction_lp` (529 columns, 0.6% of the entries
+nonzero) cost what their nonzeros cost. Either form then takes one
+path: the same input checks, one `_run_highs` and one solution check,
+in which only the products a @ x and a^T @ y differ by form. The exact
+engine densifies the builder's nonzeros.
 """
 
 import contextlib
@@ -150,14 +157,17 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True):
     Raises LPInfeasible / LPUnbounded accordingly; any other solver
     misbehavior (including a failed residual check) raises LPError.
     """
-    engine = current_engine()
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     a_ub, b_ub = _normalize_block(a_ub, b_ub, n)
     a_eq, b_eq = _normalize_block(a_eq, b_eq, n)
-    if engine == "float":
-        return _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize)
-    return _solve_exact(c, a_ub, b_ub, a_eq, b_eq, maximize)
+    return _solve(c, _DenseRows(a_ub, a_eq), b_ub, b_eq, maximize)
+
+
+def _solve(c, a, b_ub, b_eq, maximize):
+    """Solve on the current engine, with the constraint rows a in either form."""
+    solve = _solve_float if current_engine() == "float" else _solve_exact
+    return solve(c, a, b_ub, b_eq, maximize)
 
 
 def _normalize_block(a, b, n):
@@ -170,8 +180,74 @@ def _normalize_block(a, b, n):
     return a, b
 
 
+class _DenseRows:
+    """The constraint rows as the dense blocks a_ub and a_eq of `solve_lp`.
+
+    Both forms of the rows, this one and `_Nonzeros`, answer dense() (the
+    blocks a_ub, a_eq), nonzeros() (a `_Nonzeros`), times(x) (a_ub @ x
+    and a_eq @ x) and dual_residual(c, y_ub, y_eq) (c - a_ub^T y_ub -
+    a_eq^T y_eq).
+    """
+
+    def __init__(self, a_ub, a_eq):
+        self.a_ub = a_ub
+        self.a_eq = a_eq
+
+    def dense(self):
+        return self.a_ub, self.a_eq
+
+    def nonzeros(self):
+        """The nonzeros HiGHS takes, found by scanning the stacked blocks."""
+        a = np.vstack([self.a_ub, self.a_eq])
+        # Column by column, rows ascending: csc_array's layout. Scanning
+        # the boolean mask takes half the time of scanning the floats.
+        cols, rows = np.nonzero(a.T != 0)
+        return _Nonzeros(a.shape[1], self.a_ub.shape[0], a.shape[0], cols, rows, a.T[cols, rows])
+
+    def times(self, x):
+        return self.a_ub @ x, self.a_eq @ x
+
+    def dual_residual(self, c, y_ub, y_eq):
+        return c - self.a_ub.T @ y_ub - self.a_eq.T @ y_eq
+
+
+class _Nonzeros:
+    """The constraint rows, a_ub stacked on a_eq, by their nonzeros.
+
+    For an m-row matrix over n variables whose first m_ub rows are a_ub:
+    entry k is values[k] at (rows[k], cols[k]), ordered column by column
+    and by ascending row within a column (csc_array's layout, which is
+    HiGHS's column-wise format). Zeros are left out; NaN and inf are
+    nonzeros, so the input checks still see them.
+    """
+
+    def __init__(self, n, m_ub, m, cols, rows, values):
+        self.n = n
+        self.m_ub = m_ub
+        self.m = m
+        self.cols = cols
+        self.rows = rows
+        self.values = values
+
+    def dense(self):
+        a = np.zeros((self.m, self.n))
+        a[self.rows, self.cols] = self.values
+        return a[: self.m_ub], a[self.m_ub :]
+
+    def nonzeros(self):
+        return self
+
+    def times(self, x):
+        ax = np.bincount(self.rows, self.values * x[self.cols], minlength=self.m)
+        return ax[: self.m_ub], ax[self.m_ub :]
+
+    def dual_residual(self, c, y_ub, y_eq):
+        y = np.concatenate([y_ub, y_eq])
+        return c - np.bincount(self.cols, self.values * y[self.rows], minlength=self.n)
+
+
 class LPBuilder:
-    """Dense assembler for block LPs over free variables.
+    """Assembler for block LPs over free variables, straight into nonzeros.
 
     `new_vars` hands out variable indices in row-major blocks. A row block
     is its right-hand side plus terms (idx, coef): idx is one variable or a
@@ -179,6 +255,11 @@ class LPBuilder:
     giving each row its own k variables; coef broadcasts against the
     (rows, k) shape, and no variable may appear twice in one term.
     Variables and rows keep the order they were added in.
+
+    `solve` never forms the dense matrix: the terms become the column-wise
+    nonzeros HiGHS takes (`_Nonzeros`), each entry the sum of the terms
+    that reach it in the order they were added, as `+=` into a dense
+    matrix would sum them. The exact engine densifies the same entries.
     """
 
     def __init__(self):
@@ -217,35 +298,75 @@ class LPBuilder:
         self.add_ub(budget, (lam, 1.0), *budget_terms)
         return np.hstack([w.T, -w.T])
 
-    def _dense(self, blocks):
-        if not blocks:
-            return None, None
-        b = np.concatenate([rhs for rhs, _ in blocks])
-        a = np.zeros((b.shape[0], self.n))
-        start = 0
-        for rhs, terms in blocks:
-            rows = np.arange(start, start + rhs.shape[0])[:, None]
+    def _entries(self):
+        """(rows, cols, values) of every entry of every term, zeros included,
+        in the order the terms were added.
+
+        A term of a block of r rows from row m, over k variables per row,
+        is an r x k grid read row by row.
+        """
+        cols, values, grids = [np.zeros(0, int)], [np.zeros(0)], []
+        m = 0
+        for rhs, terms in self._ub + self._eq:
+            r = rhs.shape[0]
             for idx, coef in terms:
                 idx = np.asarray(idx)
-                a[rows, idx.ravel() if idx.ndim < 2 else idx] += coef
-            start += rhs.shape[0]
-        return a, b
+                k = idx.shape[-1] if idx.ndim else 1
+                col = np.empty((r, k), int)
+                col[...] = idx
+                val = np.empty((r, k))
+                val[...] = coef
+                cols.append(col)
+                values.append(val)
+                grids.append((m, r, k))
+            m += r
+        # The rows of all grids at once: row i of grid t is m_t + i, k_t times.
+        start, r, k = np.array(grids, dtype=int).reshape(-1, 3).T
+        grid_rows = np.repeat(start - np.cumsum(r) + r, r) + np.arange(r.sum())
+        return np.repeat(grid_rows, np.repeat(k, r)), np.concatenate(cols, axis=None), np.concatenate(values, axis=None)
+
+    def _nonzeros(self):
+        """The rows as `_Nonzeros`, and the right-hand sides b_ub, b_eq.
+
+        Each entry is the sum of the coefficients the terms give it, in
+        the order added: the sum `+=` leaves in a dense matrix. Zero
+        coefficients are dropped first, which changes no sum that is not
+        zero, and sums that are zero are dropped too. NaN is not zero, so
+        the input checks still see it.
+        """
+        b_ub, b_eq = (np.concatenate([np.zeros(0)] + [rhs for rhs, _ in blocks]) for blocks in (self._ub, self._eq))
+        m = b_ub.shape[0] + b_eq.shape[0]
+        rows, cols, values = self._entries()
+        kept = values != 0
+        key = cols[kept] * m + rows[kept]
+        order = np.argsort(key, kind="stable")  # by column, then row, repeats in the order added
+        key, values = key[order], values[kept][order]
+        first = np.ones(key.shape[0], dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            # ufunc.at adds repeated indices one at a time, in order
+            summed = values[first]
+            np.add.at(summed, np.cumsum(first)[~first] - 1, values[~first])
+            kept = summed != 0  # an exact cancellation
+            key, values = key[first][kept], summed[kept]
+        cols, rows = np.divmod(key, m)
+        return _Nonzeros(self.n, b_ub.shape[0], m, cols, rows, values), b_ub, b_eq
 
     def solve(self, objective, maximize=False):
         """Optimize the sum of the `objective` variables."""
         c = np.zeros(self.n)
         c[np.ravel(objective)] = 1.0
-        a_ub, b_ub = self._dense(self._ub)
-        a_eq, b_eq = self._dense(self._eq)
-        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+        return _solve(c, *self._nonzeros(), maximize)
 
 
-def _solve_float(c, a_ub, b_ub, a_eq, b_eq, maximize):
-    args = (-1.0 if maximize else 1.0) * c, a_ub, b_ub, a_eq, b_eq
-    x, y_ub, y_eq = _solve_l1_closed_form(*args) or _run_highs(*args)
-    _check_float_solution(*args, x, y_ub, y_eq)
-    value = float(c @ x)
-    return LPResult(value, x, "float")
+def _solve_float(c, a, b_ub, b_eq, maximize):
+    """Dense rows first meet the closed forms; HiGHS takes what they leave
+    as nonzeros, and every answer is checked."""
+    cost = (-1.0 if maximize else 1.0) * c
+    solved = isinstance(a, _DenseRows) and _solve_l1_closed_form(cost, a.a_ub, b_ub, a.a_eq, b_eq)
+    x, y_ub, y_eq = solved or _run_highs(cost, a.nonzeros(), b_ub, b_eq)
+    _check_float_solution(cost, a, b_ub, b_eq, x, y_ub, y_eq)
+    return LPResult(float(c @ x), x, "float")
 
 
 def _highs_options():
@@ -429,36 +550,37 @@ def _check_input(c, a_ub, b_ub, a_eq, b_eq):
             raise ValueError(f"LP input {name} must not contain inf or nan")
 
 
-def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c.x over free x as linprog(method="highs") would, without it.
+def _run_highs(c, a, b_ub, b_eq):
+    """Minimize c.x over free x subject to the rows a (`_Nonzeros`), with
+    b_ub on its first rows and b_eq on the rest, as
+    linprog(method="highs") would, without it.
 
     Same checks, same order, same exception types: linprog's input
     checks (ValueError), its map from HiGHS model status to error, and
     its _check_result. The thread's one HiGHS instance solves it;
     `passModel` drops the previous model with its basis and solution.
     """
-    _check_input(c, a_ub, b_ub, a_eq, b_eq)
+    ub = a.rows < a.m_ub
+    _check_input(c, a.values[ub], b_ub, a.values[~ub], b_eq)  # a zero is finite
     n, m_ub = c.shape[0], b_ub.shape[0]
-    a = np.vstack([a_ub, a_eq])
     inf = _highs.kHighsInf
+    # The setters read a list faster than an array (1884 row indices: 44
+    # against 100 us), and take the same values from it.
     model = _highs.HighsLp()
     model.num_col_ = n
-    model.num_row_ = a.shape[0]
-    model.col_cost_ = c
-    model.col_lower_ = np.full(n, -inf)
-    model.col_upper_ = np.full(n, inf)
-    model.row_lower_ = np.concatenate([np.full(m_ub, -inf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
-    # The nonzeros column by column, rows ascending: csc_array's layout.
-    # Scanning the boolean mask takes half the time of scanning the floats.
-    cols, rows = np.nonzero(a.T != 0)
+    model.num_row_ = a.m
+    model.col_cost_ = c.tolist()
+    model.col_lower_ = [-inf] * n
+    model.col_upper_ = [inf] * n
+    model.row_lower_ = [-inf] * m_ub + b_eq.tolist()
+    model.row_upper_ = b_ub.tolist() + b_eq.tolist()
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_ = n
-    matrix.num_row_ = a.shape[0]
-    matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    matrix.index_ = rows
-    matrix.value_ = a.T[cols, rows]
+    matrix.num_row_ = a.m
+    matrix.start_ = np.searchsorted(a.cols, np.arange(n + 1)).tolist()
+    matrix.index_ = a.rows.tolist()
+    matrix.value_ = a.values.tolist()
 
     highs = _thread_highs()
     if highs.passModel(model) == _highs.HighsStatus.kError:
@@ -492,12 +614,14 @@ def _run_highs(c, a_ub, b_ub, a_eq, b_eq):
     return x, y[:m_ub], y[m_ub:]
 
 
-def _check_float_solution(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq):
+def _check_float_solution(c, a, b_ub, b_eq, x, y_ub, y_eq):
     """Recheck a solve of min c.x over free x: finite, primal feasible,
     dual feasible, no duality gap, which together prove x optimal.
 
-    y_ub, y_eq are the solver's row duals for that minimization, in
-    HiGHS's signs: c = a_ub^T y_ub + a_eq^T y_eq with y_ub <= 0.
+    a holds the constraint rows in either form (`_DenseRows` or
+    `_Nonzeros`), which only computes the products. y_ub, y_eq are the
+    solver's row duals for that minimization, in HiGHS's signs:
+    c = a_ub^T y_ub + a_eq^T y_eq with y_ub <= 0.
     """
     x_max = _abs_max(x)  # NaN or inf exactly when some entry of x is
     primal = float(c @ x)
@@ -506,18 +630,19 @@ def _check_float_solution(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq):
     # Primal residuals, scaled by the magnitude of the right-hand side b
     # and of the point x that a @ x is compared with b.
     scale = 1.0 + max(_abs_max(b_ub), _abs_max(b_eq), x_max)
-    if a_ub.size:
-        viol = (a_ub @ x - b_ub).max()
+    ax_ub, ax_eq = a.times(x)
+    if b_ub.size:
+        viol = (ax_ub - b_ub).max()
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"inequality residual {viol:.3e} exceeds tolerance")
-    if a_eq.size:
-        viol = abs(a_eq @ x - b_eq).max()
+    if b_eq.size:
+        viol = abs(ax_eq - b_eq).max()
         if viol > RESIDUAL_TOL * scale:
             raise LPError(f"equality residual {viol:.3e} exceeds tolerance")
     # Dual residuals, scaled the same way from the dual's side: c is its
     # right-hand side and y its point.
     dual_scale = 1.0 + max(_abs_max(c), _abs_max(y_ub), _abs_max(y_eq))
-    viol = _abs_max(c - a_ub.T @ y_ub - a_eq.T @ y_eq)
+    viol = _abs_max(a.dual_residual(c, y_ub, y_eq))
     if viol > RESIDUAL_TOL * dual_scale:
         raise LPError(f"dual residual {viol:.3e} exceeds tolerance")
     if y_ub.size and y_ub.max() > RESIDUAL_TOL * dual_scale:
@@ -541,7 +666,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _solve_exact(c, a_ub, b_ub, a_eq, b_eq, maximize):
+def _solve_exact(c, a, b_ub, b_eq, maximize):
+    a_ub, a_eq = a.dense()
     _check_input(c, a_ub, b_ub, a_eq, b_eq)
     sign = 1 if maximize else -1
     cf = [sign * Fraction(v) for v in c.tolist()]

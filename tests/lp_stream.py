@@ -8,9 +8,12 @@
 with keyword arguments given as `name=literal`; `--engine exact` opens
 `use_engine("exact")` around it. `bench` runs the first round of a
 workload from `bench/workloads.py`. Both wrap `lp._solve_float` and
-`lp._solve_exact` and print one line per solve: the engine, a sha256 of
-the inputs (c, a_ub, b_ub, a_eq, b_eq with their shapes, each `+ 0.0` so
-that -0.0 reads as 0.0, and maximize), a sha256 of the outcome (the
+`lp._solve_exact`, which `solve_lp` and `LPBuilder.solve` both reach,
+and print one line per solve: the engine, a sha256 of the inputs (c,
+a_ub, b_ub, a_eq, b_eq as dense blocks, a builder's nonzeros densified,
+with their shapes, each `+ 0.0` so that -0.0 reads as 0.0, and
+maximize), so a stream reads the same whichever form an LP's rows were
+handed over in, a sha256 of the outcome (the
 value and `x.tobytes()`, or the name of the exception raised) and the
 fraisse call path that asked for it. The artifact's content hash, or the
 round's digest, goes to stderr with the number of float solves that each
@@ -90,10 +93,10 @@ def spy(out):
     solves = collections.Counter()
 
     def wrap(engine, solve):
-        def spied(*args):
+        def spied(c, a, b_ub, b_eq, maximize):
             result = hashlib.sha256()
             try:
-                res = solve(*args)
+                res = solve(c, a, b_ub, b_eq, maximize)
             except Exception as exc:
                 result.update(type(exc).__name__.encode())
                 raise
@@ -101,7 +104,8 @@ def spy(out):
                 result.update(np.float64(res.value).tobytes() + np.asarray(res.x, dtype=float).tobytes())
                 return res
             finally:
-                out.write(f"{engine} {digest(*args)} {result.hexdigest()} {call_path()}\n")
+                a_ub, a_eq = a.dense()
+                out.write(f"{engine} {digest(c, a_ub, b_ub, a_eq, b_eq, maximize)} {result.hexdigest()} {call_path()}\n")
                 solves[engine] += 1
 
         return spied

@@ -1,5 +1,6 @@
 """The two LP engines against each other and against closed forms."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from fraisse import lp
 from fraisse.amalgam import nap_amalgamate
-from fraisse.chains import build_morphism_net
+from fraisse.chains import _best_contraction_lp, build_morphism_net
 from fraisse.cli import main
 from fraisse.lp import (
     LPError,
@@ -202,6 +203,22 @@ def test_residual_check_passes_on_solution():
     assert np.max(a @ res.x - b) <= 1e-8
 
 
+def _check_float_solution(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq):
+    """`lp._check_float_solution` on the rows in each form, dense and as nonzeros;
+    both must pass, or both raise the same message."""
+    outcomes = []
+    for rows in (lp._DenseRows(a_ub, a_eq), lp._DenseRows(a_ub, a_eq).nonzeros()):
+        try:
+            lp._check_float_solution(c, rows, b_ub, b_eq, x, y_ub, y_eq)
+        except LPError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1], outcomes
+    if outcomes[0] is not None:
+        raise LPError(outcomes[0])
+
+
 @pytest.mark.parametrize("bad", ["x", "c", "y_ub", "y_eq"])
 def test_check_float_solution_rejects_non_finite(bad):
     # x = 1 is the optimum of min x subject to -x <= -1 and x = 1, with
@@ -209,10 +226,10 @@ def test_check_float_solution_rejects_non_finite(bad):
     lp_data = {"a_ub": [[-1.0]], "b_ub": [-1.0], "a_eq": [[1.0]], "b_eq": [1.0]}
     lp_data = {k: np.array(v) for k, v in lp_data.items()}
     parts = {"c": np.array([1.0]), "x": np.array([1.0]), "y_ub": np.array([0.0]), "y_eq": np.array([1.0])}
-    lp._check_float_solution(**parts, **lp_data)
+    _check_float_solution(**parts, **lp_data)
     parts[bad] = parts[bad] * np.nan
     with pytest.raises(LPError, match="not finite"):
-        lp._check_float_solution(**parts, **lp_data)
+        _check_float_solution(**parts, **lp_data)
 
 
 @pytest.mark.parametrize(
@@ -226,9 +243,9 @@ def test_check_float_solution_rejects_infeasible_or_suboptimal(bad, message):
     lp_data = {"c": [1.0, 0.0], "a_ub": [[-1.0, 0.0], [1.0, 0.0]], "b_ub": [-1.0, 5.0], "a_eq": [[0.0, 1.0]], "b_eq": [1.0]}
     lp_data = {k: np.array(v) for k, v in lp_data.items()}
     parts = {"x": np.array([1.0, 1.0]), "y_ub": np.array([-1.0, 0.0]), "y_eq": np.array([0.0])}
-    lp._check_float_solution(**parts, **lp_data)
+    _check_float_solution(**parts, **lp_data)
     with pytest.raises(LPError, match=message):
-        lp._check_float_solution(**{**parts, **bad}, **lp_data)
+        _check_float_solution(**{**parts, **bad}, **lp_data)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +266,7 @@ def test_check_float_solution_demands_dual_feasibility(b_ub, x, y_ub, message):
     lp_data = {"c": [1.0], "a_ub": [[1.0], [-1.0]], "b_ub": b_ub, "a_eq": np.zeros((0, 1)), "b_eq": np.zeros(0)}
     lp_data = {k: np.array(v) for k, v in lp_data.items()}
     with pytest.raises(LPError, match=message):
-        lp._check_float_solution(**lp_data, x=np.array([x]), y_ub=np.array(y_ub), y_eq=np.zeros(0))
+        _check_float_solution(**lp_data, x=np.array([x]), y_ub=np.array(y_ub), y_eq=np.zeros(0))
 
 
 class _ShiftedRows:
@@ -267,15 +284,20 @@ class _ShiftedRows:
         return sol
 
 
+def _run_highs_dense(c, a_ub, b_ub, a_eq, b_eq):
+    """`lp._run_highs` on dense blocks, scanned for their nonzeros as `solve_lp` scans them."""
+    return lp._run_highs(c, lp._DenseRows(a_ub, a_eq).nonzeros(), b_ub, b_eq)
+
+
 def test_run_highs_checks_the_rows_it_reports(monkeypatch):
     # linprog's _check_result: a solution whose rows break their bounds is refused
     box = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
     none = np.zeros((0, 2)), np.zeros(0)
-    assert lp._run_highs(-np.ones(2), *box, *none)[0].tolist() == [1.0, 1.0]
+    assert _run_highs_dense(-np.ones(2), *box, *none)[0].tolist() == [1.0, 1.0]
     highs = lp._thread_highs()
     monkeypatch.setattr(lp, "_thread_highs", lambda: _ShiftedRows(highs))
     with pytest.raises(LPError, match="beyond linprog's tolerance"):
-        lp._run_highs(-np.ones(2), *box, *none)
+        _run_highs_dense(-np.ones(2), *box, *none)
 
 
 def _lp_battery(seed):
@@ -570,7 +592,7 @@ def test_l1_pivot_matches_highs_bit_for_bit(monkeypatch):
         closed = lp._solve_l1_closed_form(*args)
         if closed is not None:
             served += 1
-            highs = lp._run_highs(*args)[0]
+            highs = _run_highs_dense(*args)[0]
             assert closed[0].tobytes() == highs.tobytes(), (args, closed[0], highs)
     assert served >= 150  # exercised, not only bypassed (234 of 605 at seed 7)
     # what solve_lp makes of each LP, value, x or exception type, is what HiGHS alone gives
@@ -658,7 +680,7 @@ def test_l1_two_row_finds_the_highs_vertex(monkeypatch):
             continue
         served += 1
         nr = args[0].shape[0] // 2
-        x = lp._run_highs(*args)[0]
+        x = _run_highs_dense(*args)[0]
         assert set(np.flatnonzero(closed[0][:nr])) == set(np.flatnonzero(x[:nr])), args
         value, highs = closed[0][nr:].sum(), x[nr:].sum()
         assert abs(value - highs) <= lp.GAP_TOL * (1.0 + highs), args
@@ -752,7 +774,7 @@ def _highs_battery():
 
 def _highs_outcome(args):
     try:
-        x, y_ub, y_eq = lp._run_highs(*args)
+        x, y_ub, y_eq = _run_highs_dense(*args)
     except (LPError, ValueError) as exc:
         return type(exc)
     return x.tobytes(), y_ub.tobytes(), y_eq.tobytes()
@@ -803,6 +825,190 @@ def test_threads_solve_on_their_own_instance():
     assert exact_outcomes == serial and float_outcomes == serial
 
 
+def _dense_reference(builder):
+    """(a_ub, b_ub, a_eq, b_eq) that `+=` into dense blocks makes of a builder's terms."""
+    out = []
+    for blocks in (builder._ub, builder._eq):
+        b = np.concatenate([np.zeros(0)] + [rhs for rhs, _ in blocks])
+        a = np.zeros((b.shape[0], builder.n))
+        start = 0
+        for rhs, terms in blocks:
+            rows = np.arange(start, start + rhs.shape[0])[:, None]
+            for idx, coef in terms:
+                idx = np.asarray(idx)
+                a[rows, idx.ravel() if idx.ndim < 2 else idx] += coef
+            start += rhs.shape[0]
+        out += [a, b]
+    return out
+
+
+# Sums of these depend on their order, (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3),
+# and some cancel exactly.
+_COEFS = [0.1, 0.2, 0.3, -0.3, 1.0, -1.0, 1e16, -1e16, 0.0, -0.0]
+
+
+def _random_builder(rng, blocks):
+    """A builder whose row blocks, each "ub" or "eq", hold terms of all three
+    index kinds that overlap, cancel and carry zeros and -0.0."""
+    b = lp.LPBuilder()
+    n = int(rng.integers(2, 6))
+    v = b.new_vars(n)
+    single = b.new_vars()  # a 0-d index
+    for kind in blocks:
+        r = int(rng.integers(1, 4))
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            shape = int(rng.integers(4))
+            if shape == 0:
+                idx = single if rng.integers(2) else v[rng.integers(n)]
+            elif shape == 1:  # a vector shared by every row
+                idx = rng.permutation(v)[: rng.integers(1, n + 1)]
+            else:  # each row its own variables
+                k = rng.integers(1, n + 1)
+                idx = np.array([rng.permutation(v)[:k] for _ in range(r)])
+            k = idx.shape[-1] if np.ndim(idx) else 1
+            coef_shape = [(), (k,), (r, k), (r, 1)][rng.integers(4)]
+            coef = rng.choice(_COEFS, size=coef_shape)
+            terms.append((idx, coef))
+            if rng.random() < 0.3:
+                terms.append((idx, -coef))
+        # x = 0 is feasible
+        (b.add_ub if kind == "ub" else b.add_eq)(abs(rng.normal(size=r)) if kind == "ub" else np.zeros(r), *terms)
+    return b
+
+
+def _builder_battery():
+    yield from (_random_builder(np.random.default_rng(seed), ["ub", "eq", "ub", "eq"]) for seed in range(150))
+    yield from (_random_builder(np.random.default_rng(seed), ["ub", "ub"]) for seed in range(150, 175))
+    yield from (_random_builder(np.random.default_rng(seed), ["eq", "eq"]) for seed in range(175, 200))
+    # one entry reached in three orders: only a fold in the order added gives these bits
+    for coefs in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [1e16, 1.0, -1e16], [1.0, 1e16, -1e16], [-0.0, 0.0, -0.0]):
+        b = lp.LPBuilder()
+        x = b.new_vars(2)
+        b.add_eq([1.0], *[(x[0], c) for c in coefs], (x, 1.0))
+        yield b
+
+
+def test_builder_nonzeros_are_the_dense_scan_bit_for_bit():
+    seen = {"repeat": 0, "cancel": 0, "signed zero": 0, "no ub": 0, "no eq": 0}
+    for b in _builder_battery():
+        a, b_ub, b_eq = b._nonzeros()
+        a_ub, ref_b_ub, a_eq, ref_b_eq = _dense_reference(b)
+        ref = lp._DenseRows(a_ub, a_eq).nonzeros()
+        for field in ("cols", "rows", "values"):
+            mine, theirs = getattr(a, field), getattr(ref, field)
+            assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), field
+        assert (a.n, a.m_ub, a.m) == (ref.n, ref.m_ub, ref.m)
+        assert (b_ub.tobytes(), b_eq.tobytes()) == (ref_b_ub.tobytes(), ref_b_eq.tobytes())
+        assert [arr.tobytes() for arr in a.dense()] == [a_ub.tobytes(), a_eq.tobytes()]
+        rows, cols, values = b._entries()
+        touched, counts = np.unique(np.stack([rows, cols])[:, values != 0], axis=1, return_counts=True)
+        seen["repeat"] += int((counts > 1).sum())
+        seen["cancel"] += int(np.stack([a.rows, a.cols]).shape[1] < touched.shape[1])
+        seen["signed zero"] += int((np.signbit(values) & (values == 0)).any())
+        seen["no ub"] += not b_ub.size
+        seen["no eq"] += not b_eq.size
+    assert min(seen.values()) > 0, seen
+
+
+def _contraction_lp_spaces():
+    """Small spaces for `chains._best_contraction_lp`: g from a hexagon-normed
+    plane into l-infinity^3 against phi and a target out of l-infinity^2
+    that no contraction reaches."""
+    dom = NormedSpace([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    phi = np.array([[0.5, 0.25], [0.0, 0.75]])
+    target = np.array([[2.0, 0.25], [0.25, -1.5], [1.0, 1.0]])
+    return dom, LinfSpace(3), phi, target, LinfSpace(2)
+
+
+def test_builder_lps_reach_highs_without_the_dense_scan(monkeypatch):
+    # the coupling LPs of a back-and-forth, without and with a pattern
+    solved = []
+    solve = lp.LPBuilder.solve
+
+    def record(self, objective, maximize=False):
+        solved.append((self, objective, maximize, solve(self, objective, maximize)))
+        return solved[-1][-1]
+
+    monkeypatch.setattr(lp.LPBuilder, "solve", record)
+    calls = []
+    run_highs = lp._run_highs
+    monkeypatch.setattr(lp, "_run_highs", lambda *args: calls.append(1) or run_highs(*args))
+    spaces = _contraction_lp_spaces()
+    with monkeypatch.context() as scan:
+        scan.setattr(lp._DenseRows, "nonzeros", None)  # the dense scan
+        _, value = _best_contraction_lp(*spaces)
+        _best_contraction_lp(*spaces, ([(0, np.array([1.0, 0.0]), 1.0)], value + 0.1))
+    assert len(solved) == len(calls) == 2
+    # HiGHS gets what the dense scan would give it, so it answers the same bits
+    for b, objective, maximize, res in solved:
+        a_ub, b_ub, a_eq, b_eq = _dense_reference(b)
+        c = np.zeros(b.n)
+        c[np.ravel(objective)] = 1.0
+        dense = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+        assert (res.value, res.x.tobytes()) == (dense.value, dense.x.tobytes())
+
+
+def _exact_builder_outcomes():
+    """The exact value, or the exception's name, of builder LPs on the exact engine."""
+    outcomes = []
+    solve = lp.LPBuilder.solve
+
+    def record(self, objective, maximize=False):
+        try:
+            res = solve(self, objective, maximize)
+        except LPError as exc:
+            outcomes.append(type(exc).__name__)
+            raise
+        outcomes.append(f"{res.engine} {res.exact_value}")
+        return res
+
+    with use_engine("exact"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.LPBuilder, "solve", record)
+        _best_contraction_lp(*_contraction_lp_spaces())
+        for seed in range(8):
+            b = _random_builder(np.random.default_rng(seed), ["ub", "eq", "ub"])
+            box = np.arange(b.n)[:, None]
+            b.add_ub(np.ones(b.n), (box, 1.0))
+            b.add_ub(np.ones(b.n), (box, -1.0))
+            with contextlib.suppress(LPError):
+                b.solve(np.arange(b.n), maximize=True)
+    return outcomes
+
+
+# The sha256 of `_exact_builder_outcomes`, one per line, as the exact engine
+# gave them when the builder still assembled dense blocks with `+=`: nine
+# exact values, the first 3/2.
+EXACT_BUILDER_OUTCOMES = "a987ac57af2177554bbcf2ca74f633691c975f28c5ab0c46e6c27b6127cb47af"
+
+
+def test_builder_lps_on_the_exact_engine_keep_their_values():
+    outcomes = _exact_builder_outcomes()
+    assert len(outcomes) == 9 and outcomes[0] == "exact 3/2"
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == EXACT_BUILDER_OUTCOMES
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [("ub coefficient", "a_ub"), ("eq coefficient", "a_eq"), ("inf - inf", "a_ub"), ("ub rhs", "b_ub"), ("eq rhs", "b_eq")],
+)
+@pytest.mark.parametrize("engine", ["float", "exact"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")  # inf - inf, as `+=` warns
+def test_builder_non_finite_input_raises_the_dense_message(bad, name, engine):
+    b = lp.LPBuilder()
+    x = b.new_vars(2)
+    nan, inf = float("nan"), float("inf")
+    b.add_ub([1.0, nan if bad == "ub rhs" else 1.0], (x[:, None], [[nan if bad == "ub coefficient" else 1.0], [1.0]]))
+    if bad == "inf - inf":
+        b.add_ub([1.0], (x, [inf, 0.0]), (x, [-inf, 1.0]))
+    b.add_eq([inf if bad == "eq rhs" else 0.5], (x, [1.0, inf if bad == "eq coefficient" else -1.0]))
+    # the non-finite entry reaches the nonzeros or the right-hand sides, for the input check to find
+    a, b_ub, b_eq = b._nonzeros()
+    assert not np.isfinite(np.concatenate([a.values, b_ub, b_eq])).all()
+    with use_engine(engine), pytest.raises(ValueError, match=f"^LP input {name} must not contain inf or nan$"):
+        b.solve(x, True)
+
+
 def _fresh_interpreter(code):
     """The standard output of `code` run in a new interpreter that imports this fraisse."""
     paths = [str(Path(lp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -813,14 +1019,21 @@ def _fresh_interpreter(code):
 
 
 def test_import_loads_only_the_highs_bindings_of_scipy_optimize():
-    # scipy.optimize/__init__ never runs, nor the linalg and sparse stacks it imports
+    # scipy.optimize/__init__ never runs, nor the linalg and sparse stacks it
+    # imports, and a first solve of each form loads none of them either
     out = _fresh_interpreter(
         "import sys\n"
         "import fraisse, fraisse.cli\n"
+        "from fraisse.lp import LPBuilder, solve_lp\n"
+        "b = LPBuilder()\n"
+        "x = b.new_vars(2)\n"
+        "b.add_ub([1.0, 1.0], (x[:, None], 1.0))\n"
+        "b.add_eq(1.0, (x, [1.0, -1.0]))\n"
+        "print(b.solve(x, maximize=True).value, solve_lp([1.0, 2.0], [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0]).value)\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules))\n"
         "print(fraisse.lp._highs is sys.modules['scipy.optimize._highspy._core'])\n"
     )
-    assert out == ["[]", "True"]
+    assert out == ["1.0 2.0", "[]", "True"]
 
 
 _INTEROP = """

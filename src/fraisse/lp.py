@@ -572,8 +572,9 @@ def _run_highs(c, a, b_ub, b_eq):
     model.col_cost_ = c.tolist()
     model.col_lower_ = [-inf] * n
     model.col_upper_ = [inf] * n
-    model.row_lower_ = [-inf] * m_ub + b_eq.tolist()
-    model.row_upper_ = b_ub.tolist() + b_eq.tolist()
+    eq = b_eq.tolist()
+    model.row_lower_ = [-inf] * m_ub + eq
+    model.row_upper_ = b_ub.tolist() + eq
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_ = n

@@ -91,23 +91,22 @@ def nap_amalgamate(f_x, f_y, delta=None):
 
 
 class PushoutResult:
-    def __init__(self, yhat, fhat, j, family, defect, delta, modulus):
+    def __init__(self, yhat, fhat, j, family, defect, delta):
         self.yhat = yhat
         self.fhat = fhat
         self.j = j
         self.family = family
         self.defect = defect
         self.delta = delta
-        self.modulus = modulus
 
     @property
     def bound(self):
-        return self.modulus(self.delta)
+        return BANACH(self.delta)
 
     def certificate(self, phi, f):
         return PUSHOUT_DEFECT.certificate(
             self.bound, self.defect, phi=phi, f=f, fhat=self.fhat, j=self.j,
-            delta=self.delta, modulus=self.modulus, family=self.family,
+            delta=self.delta, modulus=BANACH, family=self.family,
         )
 
 
@@ -144,11 +143,11 @@ def _coords_in(basis, vectors, what):
         raise ValueError(f"{what}: generators do not lie in the constructed span (residual {resid:.3e})")
     return sol
 
-def approx_pushout(phi, f, delta, modulus=BANACH, extra_pairs=None):
+def approx_pushout(phi, f, delta, extra_pairs=None):
     """Push f: X -> Y out along the almost-embedding phi: X -> Xhat.
 
     The witness family holds one scalar pair per norming row h of Y: a
-    partner g on Xhat with sup|g(phi(.)) - h(f(.))| <= modulus(delta),
+    partner g on Xhat with sup|g(phi(.)) - h(f(.))| <= BANACH(delta),
     found by extension along phi. Stacking those coordinates gives
     j: Y -> Yhat exactly isometric; when f is itself an almost-embedding
     (distortion <= delta), rows of Xhat join the family the same way and
@@ -168,12 +167,12 @@ def approx_pushout(phi, f, delta, modulus=BANACH, extra_pairs=None):
     family = []
     for row in f.cod.norming:
         hf = LinearMap(f.dom, one, (row @ f.matrix).reshape(1, -1))
-        g = extend_morphism(phi, hf, delta=delta, modulus=modulus, check=False)
+        g = extend_morphism(phi, hf, delta=delta, check=False)
         family.append(("cod", g.matrix.ravel().copy(), row.copy()))
     if f.distortion() <= delta + MORPHISM_TOL:
         for row in phi.cod.norming:
             gp = LinearMap(phi.dom, one, (row @ phi.matrix).reshape(1, -1))
-            h = extend_morphism(f, gp, delta=delta, modulus=modulus, check=False)
+            h = extend_morphism(f, gp, delta=delta, check=False)
             family.append(("dom", row.copy(), h.matrix.ravel().copy()))
     for g, h in extra_pairs or []:
         family.append(("extra", np.asarray(g, dtype=float).copy(), np.asarray(h, dtype=float).copy()))
@@ -186,7 +185,7 @@ def approx_pushout(phi, f, delta, modulus=BANACH, extra_pairs=None):
     fhat = LinearMap(phi.cod, yhat, _coords_in(basis, g_rows, "pushout fhat"))
     j = LinearMap(f.cod, yhat, _coords_in(basis, h_rows, "pushout j"))
     defect = _pushout_defect(phi, f, fhat, j)
-    return PushoutResult(yhat, fhat, j, family, defect, delta, modulus)
+    return PushoutResult(yhat, fhat, j, family, defect, delta)
 
 
 class ArrowObject:

@@ -42,7 +42,7 @@ from .spaces import (
     map_dist,
     morphism_distortion,
 )
-from .amalgam import approx_pushout, nap_amalgamate
+from .amalgam import nap_amalgamate
 
 POLYTOPE_SOURCES = 2  # random polytope norms in the builder's source pool
 PHI_PERTURBATION = 0.15  # entry scale of the perturbed almost-embedding per source
@@ -556,42 +556,29 @@ EXTENSION_DEFECT = Claim(
 def certify_extension(chain, phi, f, k, delta):
     """Find and certify g: F -> top stage with g . phi close to the lift of f.
 
-    Four candidate routes: plain extension along phi (defect bound
-    guaranteed by construction), pushout followed by an exact retraction,
-    a single LP minimizing the defect over every contraction at once, and
-    the same LP re-run with lower bounds pushing g toward isometry on the
-    support directions the best candidate already uses. The winner is the
-    candidate with the least distortion among those within the defect
-    bound, else the least defect; the defect is the certified quantity
-    and the distortion is reported as measured slack, never assumed.
+    Two candidates, both LPs. The first ("joint_lp") minimizes the defect
+    over every contraction F -> top stage at once, so up to the LP
+    tolerance its defect is at most that of any contraction, the plain
+    extension along phi and a pushout followed by a retraction included.
+    The second ("pattern_lp") re-runs that LP with the defect capped near
+    the bound and lower bounds pushing g toward isometry on the support
+    directions the first one uses. The winner is the candidate with the
+    least distortion among those within the defect bound, else the least
+    defect; the defect is the certified quantity and the distortion is
+    reported as measured slack, never assumed.
     """
     modulus = modulus_from_json(chain.params["modulus"])
     m = chain.depth
     j = chain.connecting(k, m)
     f_top = j @ f
     bound = modulus(delta) + SLACK
-    candidates = []
-
-    g_a = extend_morphism(phi, f_top, delta=delta, modulus=modulus, check=False)
-    candidates.append(("extend", g_a))
-
-    try:
-        po = approx_pushout(phi, f_top, delta=max(delta, 1e-12), modulus=modulus)
-        r = extend_morphism(po.j, LinearMap.identity(chain.stages[m]), delta=0.0, modulus=modulus, check=False)
-        candidates.append(("pushout_retract", r @ po.fhat))
-    except (ValueError, LPInfeasible):
-        pass
 
     g_mat, _ = _best_contraction_lp(
         phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom
     )
-    candidates.append(("joint_lp", LinearMap(phi.cod, chain.stages[m], g_mat)))
-
-    scored = []
-    for mode, g in candidates:
-        defect = _extension_defect(phi, f_top, g)
-        scored.append((mode, g, defect, morphism_distortion(g)))
-    best = min(scored, key=lambda s: (s[2] > bound, s[3], s[2]))
+    g = LinearMap(phi.cod, chain.stages[m], g_mat)
+    defect = _extension_defect(phi, f_top, g)
+    scored = [("joint_lp", g, defect, morphism_distortion(g))]
 
     # pattern pass: cap the defect at the bound (minus a safety sliver) and
     # maximize the margin on extreme directions of the F ball, claiming one
@@ -600,7 +587,7 @@ def certify_extension(chain, phi, f, k, delta):
     lower = []
     taken = set()
     for x in _extreme_directions(phi.cod):
-        img = best[1].matrix @ x
+        img = g.matrix @ x
         order = np.argsort(-np.abs(img))
         i = next((int(i) for i in order if int(i) not in taken), int(order[0]))
         taken.add(i)
@@ -609,7 +596,7 @@ def certify_extension(chain, phi, f, k, delta):
     try:
         g_mat2, _ = _best_contraction_lp(
             phi.cod, chain.stages[m], phi.matrix, f_top.matrix, phi.dom,
-            pattern=(lower, max(best[2], modulus(delta)) + 0.5 * SLACK),
+            pattern=(lower, max(defect, modulus(delta)) + 0.5 * SLACK),
         )
         g2 = LinearMap(phi.cod, chain.stages[m], g_mat2)
         defect2 = _extension_defect(phi, f_top, g2)

@@ -1,15 +1,20 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
 no defaulted parameter that no call sets or that every call sets, no stored
-attribute that nothing reads, no read of the environment, and no benchmark
-tracer entry point that has gone missing."""
+attribute that nothing reads, no read of the environment, no benchmark
+tracer entry point that has gone missing, and no traced benchmark round
+whose per-layer report is not strict JSON."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fraisse"
-TRACER = ROOT / "bench" / "tracer.py"
+BENCH = ROOT / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _modules():
@@ -124,6 +129,32 @@ def test_tracer_entry_points_resolve():
             if not callable(found):
                 missing.append(f"{layer}.{qualname}")
     assert not missing, f"tracer entry points not defined in fraisse: {missing}"
+
+
+def test_traced_rounds_report_strict_json(monkeypatch):
+    # bench/run.py prints a NaN quantile as a bare NaN, which a strict JSON
+    # reader refuses; a traced round whose LPs all bypass lp.solve_lp has none
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py pins them on import; put them back after
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracer")
+    bad = []
+    for name in run.WORKLOAD_NAMES:
+        workload = workloads.WORKLOADS[name]
+        rounds, _, _ = run.run_rounds(workload, workload.setup(0), seconds=0.01, tracer=tracer.Tracer())
+        metrics = run.per_layer(rounds)
+        try:
+            json.dumps(metrics, allow_nan=False)
+        except ValueError as exc:
+            bad.append(f"{name}: {exc}")
+        if not metrics["lp.solves"][0] > 0:
+            bad.append(f"{name}: lp.solves reads {metrics['lp.solves'][0]}")
+    assert not bad, f"traced rounds whose per-layer report is not strict JSON or counts no LP: {bad}"
 
 
 def _defaulted_parameters():

@@ -13,7 +13,6 @@ from .amalgam import (
     ArrowObject,
     arrow_pushout,
     approx_pushout,
-    joint_embed,
     nap_amalgamate,
 )
 from .certify import Certificate, canonical_dumps, content_hash, verify_certificate
@@ -55,7 +54,6 @@ from .unital import (
     facial_quotient_check,
     find_biface_counterexample,
     minimality_map,
-    perturb_to_unital_positive,
     poulsen_extension_step,
     simplex_system,
 )
@@ -64,10 +62,8 @@ from .universal import (
     build_universal_operator_chain,
     build_universal_state_chain,
     check_universal_operator_property,
-    check_universal_projection_property,
     check_universal_state_property,
     generate_operator_battery,
-    kernel_stage,
     surjectivity_defect,
 )
 
@@ -109,7 +105,6 @@ __all__ = [
     "certify_extension",
     "chains",
     "check_universal_operator_property",
-    "check_universal_projection_property",
     "check_universal_state_property",
     "content_hash",
     "embed_linf",
@@ -119,15 +114,12 @@ __all__ = [
     "find_light_block",
     "generate_operator_battery",
     "hahn_banach_extend",
-    "joint_embed",
-    "kernel_stage",
     "lp",
     "map_dist",
     "minimal_embedding",
     "minimality_map",
     "nap_amalgamate",
     "nuclearity_witness",
-    "perturb_to_unital_positive",
     "poulsen_extension_step",
     "projector_family",
     "simplex_system",

@@ -27,14 +27,6 @@ from .spaces import (
 SPAN_TOL = 1e-8
 
 
-def joint_embed(x, y):
-    """Embed two spaces side by side in the sup-product of their presentations."""
-    z = LinfSpace(x.rows + y.rows)
-    ix = LinearMap(x, z, np.vstack([x.norming, np.zeros((y.rows, x.dim))]))
-    iy = LinearMap(y, z, np.vstack([np.zeros((x.rows, y.dim)), y.norming]))
-    return z, ix, iy
-
-
 class AmalgamResult:
     def __init__(self, z, i, j, defect, delta):
         self.z = z
@@ -230,10 +222,6 @@ class ArrowMorphism:
             self.a1.distortion(),
             self.square_defect(),
         )
-
-    def compose(self, other):
-        """self after other (other: R -> S, self: S -> T)."""
-        return ArrowMorphism(other.src, self.dst, self.a0 @ other.a0, self.a1 @ other.a1)
 
 
 class ArrowPushoutResult:

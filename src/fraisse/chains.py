@@ -643,12 +643,14 @@ def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
     """Alternating correction scheme between two embeddings of one space.
 
     Produces contractions u, v between the top stage and itself with
-    u . f close to g and v . g close to f, refining in rounds: each round
-    re-solves the one-shot contraction LP with an extra row family asking
-    the new map to also undo its partner on the relevant range, with a
-    geometrically tightening isometry-pattern slack. The trace keeps the
-    best defect seen so far, so it is nonincreasing by construction and
-    every entry is a measured quantity.
+    u . f close to g and v . g close to f. It starts from extend_morphism
+    in each direction and refines in rounds: each round re-solves the
+    one-shot contraction LP with an extra row family asking the new map to
+    also undo its partner on the relevant range. Every round poses the
+    same kind of LP, with no slack that changes between rounds, and the
+    rounds stop early once the best defect is within modulus(delta). The
+    trace keeps the best defect seen so far, so it is nonincreasing by
+    construction and every entry is a measured quantity.
     """
     modulus = modulus_from_json(chain.params["modulus"])
     top = chain.top
@@ -672,8 +674,8 @@ def back_and_forth(chain, f, kf, g, kg, delta, rounds=8):
         g_mat, _ = _best_contraction_lp(top, top, phi_mat, target, source)
         return LinearMap(top, top, g_mat)
 
-    best_u = extend_morphism(f_top, g_top, delta=delta, modulus=modulus, check=False)
-    best_v = extend_morphism(g_top, f_top, delta=delta, modulus=modulus, check=False)
+    best_u = extend_morphism(f_top, g_top, delta=delta, check=False)
+    best_v = extend_morphism(g_top, f_top, delta=delta, check=False)
 
     best = _back_and_forth_defect(f_top, g_top, best_u, best_v)
     trace = [best]

@@ -15,7 +15,6 @@ import numpy as np
 
 from .lp import LPInfeasible, current_engine, l1_template, solve_lp
 
-ISO_TOL = 1e-9
 MORPHISM_TOL = 1e-7
 RANK_TOL = 1e-10
 
@@ -112,10 +111,6 @@ class NormedSpace:
     def dual_representation(self, g):
         res = _least_coefficient_sum(self.norming.T, np.asarray(g, dtype=float))
         return res.value, res.x[: self.rows]
-
-    def coordinate_bound(self):
-        """max_i of the dual norms of the coordinate functionals."""
-        return max(self.dual_norm(np.eye(self.dim)[i]) for i in range(self.dim))
 
     def __repr__(self):
         return f"NormedSpace(dim={self.dim}, rows={self.rows}, label={self.label!r})"
@@ -243,9 +238,6 @@ class LinearMap:
             self._cache[key] = best
         return self._cache[key]
 
-    def is_isometry(self):
-        return self.op_norm() <= 1.0 + ISO_TOL and self.distortion() <= ISO_TOL
-
     def __repr__(self):
         return f"LinearMap({self.dom.label} -> {self.cod.label}, {self.cod.dim}x{self.dom.dim})"
 
@@ -278,11 +270,12 @@ def hahn_banach_extend(j, g, c, check=True):
     """
     g = np.asarray(g, dtype=float)
     x_space = j.cod
+    c_max = c * (1.0 + 1e-9) + 1e-9
     if check:
         if j.distortion() > 1e-6:
             raise ValueError("hahn_banach_extend needs an isometric j")
         gnorm = j.dom.dual_norm(g)
-        if gnorm > c * (1.0 + 1e-9) + 1e-9:
+        if gnorm > c_max:
             raise ValueError(f"functional norm {gnorm:.6e} exceeds the requested bound {c:.6e}")
     # Agreement on the subspace: lambda^T W J = g, an equality per domain coord.
     try:
@@ -291,7 +284,7 @@ def hahn_banach_extend(j, g, c, check=True):
         raise ValueError("extension system infeasible: j does not reach the functional's domain")
     lam = res.x[: x_space.rows]
     total = res.value
-    if total > c * (1.0 + 1e-9) + 1e-9:
+    if total > c_max:
         raise ValueError(
             f"minimal representing sum {total:.9e} exceeds the bound {c:.9e}; "
             "the bound is below the functional's true norm"
@@ -300,16 +293,15 @@ def hahn_banach_extend(j, g, c, check=True):
     return h, lam
 
 
-def extend_morphism(phi, f, delta, modulus=BANACH, check=True):
+def extend_morphism(phi, f, delta, check=True):
     """Extend f through the near-isometry phi into an injective target.
 
     phi: X -> Xhat with distortion <= delta < 1, f: X -> A a contraction
     into a space with identity norming. Returns h: Xhat -> A with
     op_norm(h) <= 1 and sup distance of h(phi(.)) from f at most
-    modulus(delta). Each coordinate of f transfers to range(phi) with norm
-    at most 1 + delta and extends by hahn_banach_extend at that bound; the
-    banach class then rescales by 1/(1+delta), the unital class projects
-    the rows onto states instead (the 2*delta route).
+    BANACH(delta). Each coordinate of f transfers to range(phi) with norm
+    at most 1 + delta and extends by hahn_banach_extend at that bound,
+    and the rows are then rescaled by 1/(1+delta).
     """
     target = f.cod
     if not target.is_linf:
@@ -327,94 +319,4 @@ def extend_morphism(phi, f, delta, modulus=BANACH, check=True):
     for r in f.matrix:
         h, _ = hahn_banach_extend(phi, r, bound, check=False)
         rows.append(h)
-    h0 = np.array(rows)
-    if modulus.kind == "banach":
-        return LinearMap(phi.cod, target, h0 / bound)
-    from .unital import project_rows_to_states  # unital route, local to avoid a cycle
-
-    return LinearMap(phi.cod, target, project_rows_to_states(phi.cod, h0))
-
-
-class MarkedSpace:
-    """A space together with a basic generating tuple (a basis, as columns)."""
-
-    def __init__(self, space, tuple_vectors):
-        vecs = [np.asarray(v, dtype=float) for v in tuple_vectors]
-        if len(vecs) != space.dim:
-            raise ValueError("a basic tuple must have exactly dim entries")
-        a = np.column_stack(vecs)
-        _require_full_column_rank(a, "marked tuple is not linearly independent")
-        self.space = space
-        self.vectors = vecs
-        self.matrix = a
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-def tuple_image_dist(f, marked, targets):
-    """max_i of the codomain norm of f(a_i) - b_i."""
-    return max(
-        f.cod.norm(f.apply(a) - b) for a, b in zip(marked.vectors, targets)
-    )
-
-
-def tuple_dist_upper(a, b):
-    """Certified upper bound on the marked-tuple distance.
-
-    Searches a candidate family of morphisms f: the exact tuple matcher
-    rescaled to a contraction plus a scaling grid, scores each by
-    max(distortion, tuple image distance), and returns
-    BANACH(best) + best. Tuples of different lengths are at distance
-    +inf by convention.
-    """
-    if len(a) != len(b):
-        return math.inf
-    t0 = b.matrix @ np.linalg.inv(a.matrix)
-    base = LinearMap(a.space, b.space, t0)
-    nrm = base.op_norm()
-    cands = []
-    for s in (1.0, 0.999, 0.99, 0.95, 0.9):
-        t = s / max(1.0, nrm)
-        cands.append(base.scale(t))
-    best = math.inf
-    for f in cands:
-        score = max(f.distortion(), tuple_image_dist(f, a, b.vectors))
-        best = min(best, score)
-    return BANACH(best) + best
-
-
-def _padded_identity(rows, cols):
-    m = np.zeros((rows, cols))
-    k = min(rows, cols)
-    m[:k, :k] = np.eye(k)
-    return m
-
-
-def gh_dist_upper(x, y):
-    """Upper bound on the two-sided morphism distance of two spaces.
-
-    Evaluates candidate pairs (f: X -> Y, g: Y -> X) by
-    max(I(f), I(g), d(g f, id), d(f g, id)) and returns the best found.
-    Dimension mismatch just produces a finite (possibly large) bound.
-    """
-    pid = _padded_identity(y.dim, x.dim)
-    pairs = [(LinearMap(x, y, pid), LinearMap(y, x, pid.T))]
-    if x.rows == y.rows:
-        # Align the presentations: W_Y M ~ W_X in least squares.
-        m, *_ = np.linalg.lstsq(y.norming, x.norming, rcond=None)
-        minv, *_ = np.linalg.lstsq(x.norming, y.norming, rcond=None)
-        pairs.append((LinearMap(x, y, m), LinearMap(y, x, minv)))
-    best = math.inf
-    for f, g in pairs:
-        nf, ng = f.op_norm(), g.op_norm()
-        f = f.scale(1.0 / max(1.0, nf))
-        g = g.scale(1.0 / max(1.0, ng))
-        eps = max(
-            f.distortion(),
-            g.distortion(),
-            map_dist(g @ f, LinearMap.identity(x)),
-            map_dist(f @ g, LinearMap.identity(y)),
-        )
-        best = min(best, eps)
-    return best
+    return LinearMap(phi.cod, target, np.array(rows) / bound)

@@ -6,7 +6,8 @@ where every row is nonnegative, so by polyhedral duality the state space
 is exactly the convex hull of the rows. That identification is what
 makes unitality and positivity checkable by linear programming with no
 further approximation: a functional is a state iff it is a convex
-combination of presentation rows, and the nearest state is one LP away.
+combination of presentation rows, and its distance from a hull of rows is
+one LP away.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from .certify import (
 )
 from .chains import StageChain
 from .lp import LPBuilder
-from .spaces import FUNCTION_SYSTEM, RANK_TOL, LinearMap, NormedSpace, map_dist
+from .spaces import FUNCTION_SYSTEM, RANK_TOL, LinearMap, NormedSpace
 
 UNIT_TOL = 1e-9
 WEIGHT_TOL = 1e-9
@@ -98,7 +99,7 @@ def _hull_distance(hull, w, row):
 
     min sum |mu| over hull weights nu and representations
     (row - nu' hull) = mu' w, the dual norm being that of the space
-    presented by w. Returns (distance, nu).
+    presented by w.
     """
     lp = LPBuilder()
     nu = lp.new_vars(hull.shape[0])
@@ -108,68 +109,7 @@ def _hull_distance(hull, w, row):
     rep = lp.dual_ball_rep(mu, w, 0.0, (t, -1.0))
     lp.add_eq(row, (nu, hull.T), (mu, rep))
     lp.add_eq(1.0, (nu, 1.0))
-    res = lp.solve(t)
-    return max(res.value, 0.0), res.x[nu]
-
-
-def state_distance(space, row):
-    """Dual-norm distance from a functional to the state set of a space.
-
-    The states are the convex hull of the presentation rows, and the
-    distance is exact because the dual ball is by definition the absolute
-    hull of the rows. Returns (distance, weights of the nearest state).
-    """
-    dist, lam = _hull_distance(space.norming, space.norming, row)
-    lam = np.clip(lam, 0.0, None)
-    return dist, lam / max(np.sum(lam), 1e-300)
-
-
-def project_rows_to_states(space, rows):
-    """Replace each functional row by its nearest state of the space."""
-    out = []
-    for r in np.atleast_2d(rows):
-        _, lam = state_distance(space, r)
-        out.append(lam @ space.norming)
-    return np.array(out)
-
-
-def perturb_to_unital_positive(f, delta):
-    """Nearest unital positive map to f between function systems.
-
-    One joint LP: the rows of the candidate g, read through the codomain
-    states, must be states of the domain, and the sup distance to f is
-    minimized. The distance of the optimum is certified against 2*delta,
-    the perturbation constant of the class.
-    """
-    dom, cod = f.dom, f.cod
-    if not isinstance(dom, FunctionSystem) or not isinstance(cod, FunctionSystem):
-        raise ValueError("perturb_to_unital_positive needs function systems on both sides")
-    w_d = dom.norming
-    w_c = cod.norming
-    lp = LPBuilder()
-    g_vars = lp.new_vars(cod.dim, dom.dim)
-    # per codomain row: state weights lam and representation mu of the gap
-    per_row = lp.new_vars(w_c.shape[0], 3 * w_d.shape[0])
-    lams, mus = per_row[:, : w_d.shape[0]], per_row[:, w_d.shape[0] :]
-    t = lp.new_vars()
-    for l in range(w_c.shape[0]):
-        # w_l G = lam_l' W_d  and  w_l f - w_l G = mu_l' W_d
-        target = w_c[l] @ f.matrix
-        lp.nonneg(lams[l])
-        rep = lp.dual_ball_rep(mus[l], w_d, 0.0, (t, -1.0))
-        for c in range(dom.dim):
-            lp.add_eq(0.0, (g_vars[:, c], w_c[l]), (lams[l], -w_d[:, c]))
-            lp.add_eq(target[c], (g_vars[:, c], w_c[l]), (mus[l], rep[c]))
-        lp.add_eq(1.0, (lams[l], 1.0))
-    res = lp.solve(t)
-    g_mat = res.x[g_vars]
-    g = LinearMap(dom, cod, g_mat)
-    defect = map_dist(f, g)
-    cert = UNITAL_PERTURBATION.certificate(2.0 * delta, defect, f=f, g=g, delta=delta)
-    return g, defect, cert
-
-
-UNITAL_PERTURBATION = Claim("unital_perturbation", 1e-7, map_dist, f=MAP, g=MAP, delta=(fmt_real, None))
+    return max(lp.solve(t).value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +119,7 @@ UNITAL_PERTURBATION = Claim("unital_perturbation", 1e-7, map_dist, f=MAP, g=MAP,
 def _ext_margin(system, idx):
     """Dual-norm separation of row idx from the hull of the other rows."""
     w = system.norming
-    return _hull_distance(np.delete(w, idx, axis=0), w, w[idx])[0]
+    return _hull_distance(np.delete(w, idx, axis=0), w, w[idx])
 
 
 def _poulsen_gap(system, new_row, tau):
@@ -479,18 +419,12 @@ BIFACE_BALL = Claim("biface_ball", 1e-9, _biface_violation, space=SPACE, p=MATRI
 
 
 def kernel_basis(p):
-    """Orthonormal basis of ker p with deterministic signs; the rank
-    cutoff is RANK_TOL * max(1, s0), s0 the largest singular value."""
-    return _null_basis(p, 1.0)
-
-
-def _null_basis(p, floor):
     """Orthonormal basis of ker p by SVD, each column's first nonzero
-    entry made positive; singular values up to RANK_TOL * max(floor, s0)
+    entry made positive; singular values up to RANK_TOL * max(1, s0)
     count as zero, s0 the largest."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     _, sv, vt = np.linalg.svd(p)
-    rank = int(np.sum(sv > RANK_TOL * max(floor, sv[0] if sv.size else 1.0)))
+    rank = int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
     basis = vt[rank:].T
     cols = []
     for c in basis.T:

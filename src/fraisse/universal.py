@@ -49,7 +49,7 @@ from .spaces import (
     map_dist,
     morphism_distortion,
 )
-from .unital import _null_basis, build_poulsen_chain
+from .unital import build_poulsen_chain
 
 SQUARE_TOL = 1e-9
 ANCHOR_THRESHOLD = 0.4  # least image norm of a domain direction a fold may anchor at
@@ -418,25 +418,6 @@ def check_universal_operator_property(chain, l_map, eps, hints=None):
     return UniversalCheckResult(alpha0, alpha1, defect, d0, d1, eps, passed, via=via)
 
 
-def check_universal_projection_property(chain, p_map, eps, hints):
-    """Absorption check for a surjective test contraction (a quotient item).
-
-    Same search as the operator check, and additionally requires the test
-    map to really be a quotient onto its codomain ball within eps, so a
-    passing certificate also vouches for the item's surjectivity.
-    """
-    worst = 0.0
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        v = rng.normal(size=p_map.cod.dim)
-        v = v / max(p_map.cod.norm(v), 1e-12)
-        worst = max(worst, image_distance(p_map, v))
-    result = check_universal_operator_property(chain, p_map, eps, hints=hints)
-    result.passed = result.passed and worst <= eps + 1e-9
-    result.quotient_defect = worst
-    return result
-
-
 def generate_operator_battery(chain, count, eps):
     """Frozen test items replayed from the tower's own fold records.
 
@@ -514,45 +495,6 @@ def battery_from_json(data):
         {"l": map_from_json(it["l"]), "hint": parse_matrix(it["hint"]), "tag": it["tag"]}
         for it in data
     ]
-
-
-# ---------------------------------------------------------------------------
-# kernel presentation
-
-
-class KernelStage:
-    def __init__(self, space, inclusion, residual, certificate):
-        self.space = space
-        self.inclusion = inclusion
-        self.residual = residual
-        self.certificate = certificate
-
-
-def _kernel_residual(t, incl):
-    return LinearMap(incl.dom, t.cod, t.matrix @ incl.matrix).op_norm()
-
-
-KERNEL_RESIDUAL = Claim("kernel_residual", 1e-12, _kernel_residual, t=MAP, incl=MAP)
-
-
-def kernel_stage(t_map, eps=1e-8):
-    """Present the kernel of a stage operator with its restricted norm.
-
-    Null space by singular value decomposition with deterministic signs
-    and rank cutoff RANK_TOL * s0, s0 the largest singular value; the
-    presentation rows are the dom rows restricted to the kernel basis,
-    zero rows pruned. The certificate bounds the worst image norm
-    over the kernel ball by eps.
-    """
-    q = _null_basis(t_map.matrix, 0.0)
-    if q.shape[1] == 0:
-        raise ValueError("the operator has trivial kernel at this tolerance")
-    norming = t_map.dom.norming @ q
-    keep = [i for i in range(norming.shape[0]) if np.max(np.abs(norming[i])) > 1e-12]
-    space = NormedSpace(norming[keep], label="kernel")
-    incl = LinearMap(space, t_map.dom, q)
-    residual = _kernel_residual(t_map, incl)
-    return KernelStage(space, incl, residual, KERNEL_RESIDUAL.certificate(eps, residual, t=t_map, incl=incl))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from fraisse.amalgam import (
     ArrowObject,
     approx_pushout,
     arrow_pushout,
-    joint_embed,
     nap_amalgamate,
 )
 from fraisse.certify import verify_certificate
@@ -37,14 +36,6 @@ def _near_isometry(rng, dom, cod_dim, delta):
     f = f.scale(shrink)
     assert f.distortion() <= delta + 1e-9
     return f
-
-
-def test_joint_embed_isometries():
-    x = NormedSpace([[1.0, 1.0], [1.0, -1.0]])
-    y = LinfSpace(3)
-    z, ix, iy = joint_embed(x, y)
-    assert z.dim == x.rows + y.rows
-    assert ix.distortion() <= 1e-9 and iy.distortion() <= 1e-9
 
 
 def test_nap_defect_bound_and_isometric_legs():
@@ -122,14 +113,6 @@ def test_arrow_morphism_validation_and_defect():
         ArrowMorphism(t, s, wrong, ident)
     with pytest.raises(ValueError, match="arrow codomains"):
         ArrowMorphism(t, s, ident, wrong)
-
-
-def test_arrow_morphism_compose():
-    t = ArrowObject(LinearMap(LinfSpace(1), LinfSpace(1), [[0.5]]))
-    half = LinearMap(LinfSpace(1), LinfSpace(1), [[0.9]])
-    m = ArrowMorphism(t, t, half, half)
-    mm = m.compose(m)
-    assert mm.a0.matrix[0, 0] == pytest.approx(0.81)
 
 
 def _scaling_arrow(c):

@@ -15,7 +15,6 @@ from fraisse.unital import (
     biface_check,
     facial_quotient_check,
     minimality_map,
-    perturb_to_unital_positive,
     poulsen_extension_step,
     simplex_system,
 )
@@ -24,7 +23,6 @@ from fraisse.universal import (
     build_universal_state_chain,
     check_universal_operator_property,
     check_universal_state_property,
-    kernel_stage,
 )
 
 # sha256 of canonical_dumps(cert.to_json()) for each certificate below; the
@@ -36,13 +34,11 @@ FROZEN = {
     "extension_defect": "e7c5606727f2f9bf50c490ce950ad818ac5e2399e29d18a62802adeaf19692b8",
     "back_and_forth_defect": "b29e19e4c5c7f6ae1962ef07f0807c5fea693a25f47df310c37ea1f1238d4ed2",
     "factorization_defect": "2b6d2ce0b03e07464789a73fbcd48efdb7c0e47f04cdc46542a9e5bdca339b59",
-    "unital_perturbation": "0a719e3131e1392b162056ed67d1c6ba0368b04c826962288f299c78f7e53973",
     "poulsen_separation_gap": "68a4490087875716a5fa98f2fab95b125b6828520574b495503c1de952c70ee6",
     "minimality_defect": "dba8d9bb5b55a5b166898fffac330dee4353343051f4ef61f9172dcba9dd77c6",
     "facial_quotient": "751dc01b4a84e289c221c1527b7bb3614a1690e753ff46b0640f9d13317c21af",
     "biface_ball": "ef384a3798fd96fc7ea8403878f3b32b3eb0f7bfb1707b0a36881148a7c737ae",
     "operator_absorption": "da2751b45244f87aed9f447d6fc2893dbe351898c29bb4d568f7d44942c717c7",
-    "kernel_residual": "a16afcfd88ad80e3ca3e2db462844ad526c95216114b75a37fe29a719bbb016e",
     "state_absorption": "e48d9281a1cac48dadd90e0eaaf1d3a5398c1bd0a2646946bf5d72e719a7986b",
     "matrix_state_defect": "bc84068271d048c93be081409c376a1debf265b4456c9f09c4bafc77b816c5af",
 }
@@ -81,8 +77,6 @@ def _certificates():
     out["factorization_defect"] = nuclearity_witness(space).certificate(space)
 
     s2, s3 = simplex_system(2), simplex_system(3)
-    pert = LinearMap(s2, s3, [[0.9, 0.2], [0.1, 0.8], [0.5, 0.4]])
-    out["unital_perturbation"] = perturb_to_unital_positive(pert, 0.1)[2]
     out["poulsen_separation_gap"] = poulsen_extension_step(s2, [0.25, 0.75]).certificate
     out["minimality_defect"] = minimality_map([0.3, 0.7], np.arange(1.0, 11.0) / 55.0, eps=0.8).certificate
     out["facial_quotient"] = facial_quotient_check(s3, [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], eps=0.01).certificate()
@@ -94,8 +88,6 @@ def _certificates():
     l_map = LinearMap(e1, e1, [[0.5]])
     absorbed = check_universal_operator_property(op_chain, l_map, 0.2)
     out["operator_absorption"] = absorbed.certificate(l_map, op_chain.top.t)
-    t_map = LinearMap(LinfSpace(3), e2, [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
-    out["kernel_residual"] = kernel_stage(t_map).certificate
     states = build_universal_state_chain(1, seed=0)
     out["state_absorption"] = check_universal_state_property(states, s3, [0.2, 0.3, 0.5], eps=0.05).state_certificate
     # a diagonal density, so no matrix product of the build depends on the BLAS threads

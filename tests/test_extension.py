@@ -6,7 +6,6 @@ import pytest
 import oracles
 from fraisse.spaces import (
     BANACH,
-    FUNCTION_SYSTEM,
     LinearMap,
     LinfSpace,
     NormedSpace,
@@ -97,20 +96,3 @@ def test_extend_morphism_rejects_bad_inputs():
     squash = LinearMap(dom, dom, 0.4 * np.eye(2))
     with pytest.raises(ValueError, match="distortion"):
         extend_morphism(squash, LinearMap.identity(dom), delta=0.01)
-
-
-def test_extend_morphism_function_system_route():
-    # the unital route projects rows onto states; result stays a contraction
-    from fraisse.unital import simplex_system
-
-    sys2 = simplex_system(2)
-    sys3 = simplex_system(3)
-    phi = LinearMap(sys2, sys3, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    # phi is not isometric as a plain embedding into the 3 simplex we use
-    # identity-normed target for the extension instead
-    target = LinfSpace(2)
-    f = LinearMap(sys2, target, 0.9 * np.eye(2))
-    d = phi.distortion()
-    h = extend_morphism(phi, f, delta=max(d, 0.05), modulus=FUNCTION_SYSTEM)
-    assert h.op_norm() <= 1.0 + 1e-7
-    assert map_dist(h @ phi, f) <= FUNCTION_SYSTEM(max(d, 0.05)) + 1e-7

@@ -1,8 +1,9 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no defaulted parameter that no call sets or that every call sets, no stored
-attribute that nothing reads, no read of the environment, no benchmark
-tracer entry point that has gone missing, and no traced benchmark round
-whose per-layer report is not strict JSON."""
+no public function or class that only tests reach, no defaulted parameter
+that no call sets or that every call sets, no stored attribute that nothing
+reads, no read of the environment, no benchmark tracer entry point that has
+gone missing, and no traced benchmark round whose per-layer report is not
+strict JSON."""
 
 import ast
 import importlib
@@ -74,6 +75,35 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, f"private functions nothing in src/ references: {dead}"
+
+
+# public names only tests reach, kept on purpose: the codecs of the frozen
+# operator battery that the acceptance battery loads
+KEPT_FOR_TESTS = {"battery_to_json", "battery_from_json"}
+
+
+def test_no_public_name_is_reached_only_from_tests():
+    # a name counts as reached from another module of src/fraisse (not the
+    # package's re-exports), from its own module outside its definition, or
+    # from a demo or benchmark script
+    modules = _modules()
+    scripts = set().union(
+        *(
+            _referenced(ast.parse(path.read_text(), filename=str(path)))
+            for folder in ("demos", "bench")
+            for path in sorted((ROOT / folder).glob("*.py"))
+        )
+    )
+    unreached = set()
+    for name, tree in modules.items():
+        others = set().union(*(_referenced(t) for n, t in modules.items() if n not in (name, "__init__.py")))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = _referenced(ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[]))
+                if node.name not in others | own | scripts:
+                    unreached.add(node.name)
+    assert unreached - KEPT_FOR_TESTS == set(), f"public names only tests reach: {sorted(unreached - KEPT_FOR_TESTS)}"
+    assert KEPT_FOR_TESTS <= unreached, f"kept for tests but reached or gone: {sorted(KEPT_FOR_TESTS - unreached)}"
 
 
 def test_certificates_are_made_only_through_their_claims():

@@ -111,10 +111,16 @@ def test_certificate_failure_is_reported_not_hidden():
     assert cert.slack < 0
 
 
-def test_verify_unknown_claim_raises():
-    cert = Certificate("no_such_claim", {}, 1.0, 0.0)
+@pytest.mark.parametrize("claim", ["no_such_claim", "unital_perturbation", "kernel_residual"])
+def test_verify_unknown_claim_raises(claim, tmp_path, capsys):
+    # the last two were once registered; their old certificate files fail loudly
+    cert = Certificate(claim, {}, 1.0, 0.0)
     with pytest.raises(KeyError, match="no verifier"):
         verify_certificate(cert)
+    path = tmp_path / "cert.json"
+    cert.write(path)
+    assert main(["verify", str(path)]) == 2
+    assert "no verifier registered for claim" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,11 @@ from fraisse.spaces import (
     FUNCTION_SYSTEM,
     LinearMap,
     LinfSpace,
-    MarkedSpace,
     Modulus,
     NormedSpace,
     embed_linf,
-    gh_dist_upper,
     map_dist,
     morphism_distortion,
-    tuple_dist_upper,
 )
 
 
@@ -102,10 +99,6 @@ def test_support_value_is_dual_norm_at_radius_one():
     assert sp.support_value(g, radius=2.0) == pytest.approx(2.0 * sp.dual_norm(g), abs=1e-9)
 
 
-def test_coordinate_bound_linf():
-    assert LinfSpace(3).coordinate_bound() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_op_norm_against_oracle():
     rng = np.random.default_rng(17)
     for _ in range(30):
@@ -138,7 +131,6 @@ def test_identity_is_isometry():
     ident = LinearMap.identity(sp)
     assert ident.op_norm() == pytest.approx(1.0, abs=1e-9)
     assert ident.distortion() <= 1e-9
-    assert ident.is_isometry()
 
 
 def test_embed_linf_exact_isometry():
@@ -189,29 +181,3 @@ def test_modulus_values():
         Modulus("projective")
     with pytest.raises(ValueError):
         BANACH(-0.1)
-
-
-def test_marked_space_validation():
-    sp = LinfSpace(2)
-    with pytest.raises(ValueError, match="dim entries"):
-        MarkedSpace(sp, [np.array([1.0, 0.0])])
-    with pytest.raises(ValueError, match="independent"):
-        MarkedSpace(sp, [np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-    marked = MarkedSpace(sp, [np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-    assert len(marked) == 2
-
-
-def test_tuple_dist_upper_same_tuple_is_zero():
-    sp = LinfSpace(2)
-    marked = MarkedSpace(sp, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert tuple_dist_upper(marked, marked) <= 1e-9
-    other = MarkedSpace(LinfSpace(3), [np.eye(3)[i] for i in range(3)])
-    assert tuple_dist_upper(marked, other) == np.inf
-
-
-def test_gh_dist_upper_identical_spaces():
-    sp = diamond()
-    assert gh_dist_upper(sp, sp) <= 1e-9
-    # different presentations of the same space also come out near zero
-    sp2 = NormedSpace([[1.0, -1.0], [1.0, 1.0]])
-    assert gh_dist_upper(sp, sp2) <= 1e-7

@@ -1,10 +1,10 @@
-"""Function systems: states, perturbation, dense-boundary tower, checks."""
+"""Function systems: states, dense-boundary tower, checks."""
 
 import numpy as np
 import pytest
 
 from fraisse.certify import parse_real, verify_certificate
-from fraisse.spaces import LinearMap, LinfSpace
+from fraisse.spaces import LinfSpace
 from fraisse.unital import (
     FunctionSystem,
     StateVector,
@@ -14,11 +14,8 @@ from fraisse.unital import (
     find_biface_counterexample,
     kernel_basis,
     minimality_map,
-    perturb_to_unital_positive,
     poulsen_extension_step,
-    project_rows_to_states,
     simplex_system,
-    state_distance,
 )
 
 # build_poulsen_chain(depth=5, seed=0), whose params record tau and the
@@ -47,43 +44,6 @@ def test_state_vector_validation_and_evaluation():
     s = sys3.state(np.array([0.2, 0.3, 0.5]))
     assert s(sys3.unit) == pytest.approx(1.0)
     assert s(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.2)
-
-
-def test_state_distance_and_projection():
-    sys3 = simplex_system(3)
-    # a state is at distance zero from the state set
-    d, lam = state_distance(sys3, np.array([0.2, 0.3, 0.5]))
-    assert d <= 1e-9
-    assert lam == pytest.approx([0.2, 0.3, 0.5], abs=1e-7)
-    # a non-state functional projects to a genuine state
-    rows = project_rows_to_states(sys3, np.array([[1.2, -0.1, 0.0]]))
-    assert np.min(rows) >= -1e-9
-    assert np.sum(rows) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_perturb_to_unital_positive():
-    sys2 = simplex_system(2)
-    sys3 = simplex_system(3)
-    base = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    delta = 0.05
-    rng = np.random.default_rng(53)
-    noisy = base + delta / 4.0 * rng.normal(size=base.shape)
-    f = LinearMap(sys2, sys3, noisy)
-    g, defect, cert = perturb_to_unital_positive(f, delta)
-    # exactly unital, positive rows through the codomain states
-    assert np.max(np.abs(g.matrix @ sys2.unit - sys3.unit)) <= 1e-8
-    assert np.min(g.matrix) >= -1e-8
-    assert np.abs(np.sum(g.matrix, axis=1) - 1.0).max() <= 1e-8
-    assert defect <= 2.0 * delta + 1e-7
-    assert cert.passed
-    ok, _ = verify_certificate(cert)
-    assert ok
-
-
-def test_perturb_requires_function_systems():
-    f = LinearMap(LinfSpace(2), LinfSpace(2), np.eye(2))
-    with pytest.raises(ValueError, match="function systems"):
-        perturb_to_unital_positive(f, 0.1)
 
 
 def test_poulsen_step_structure():

@@ -5,7 +5,7 @@ import pytest
 
 from fraisse.certify import canonical_dumps, parse_real, verify_certificate
 from fraisse.chains import ResourceLimitError
-from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
+from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace
 from fraisse.universal import (
     SQUARE_TOL,
     ArrowChain,
@@ -14,11 +14,9 @@ from fraisse.universal import (
     build_universal_operator_chain,
     build_universal_state_chain,
     check_universal_operator_property,
-    check_universal_projection_property,
     check_universal_state_property,
     generate_operator_battery,
     image_distance,
-    kernel_stage,
     prune_redundant_rows,
     surjectivity_defect,
 )
@@ -109,8 +107,8 @@ def test_operator_chain_determinism_and_roundtrip(chain2):
 
 def test_connecting_composition(chain2):
     conn = chain2.connecting(0, 2)
-    step = chain2.connectives[1].compose(chain2.connectives[0])
-    assert np.max(np.abs(conn.a0.matrix - step.a0.matrix)) <= 1e-12
+    step = chain2.connectives[1].a0.matrix @ chain2.connectives[0].a0.matrix
+    assert np.max(np.abs(conn.a0.matrix - step)) <= 1e-12
     assert conn.square_defect() <= SQUARE_TOL
     ident = chain2.connecting(1, 1)
     assert np.array_equal(ident.a0.matrix, np.eye(chain2.stages[1].dom.dim))
@@ -159,47 +157,10 @@ def test_battery_generation_is_deterministic(chain2):
     assert canonical_dumps(a) == canonical_dumps(b)
 
 
-def test_projection_property_consistency(chain2):
-    items = generate_operator_battery(chain2, count=2, eps=0.2)
-    it = items[0]
-    res = check_universal_projection_property(chain2, it["l"], 0.5, hints=[it["hint"]])
-    top = chain2.top.t
-    recomputed = map_dist(
-        LinearMap(res.alpha0.dom, top.cod, top.matrix @ res.alpha0.matrix),
-        LinearMap(res.alpha0.dom, top.cod, res.alpha1.matrix @ it["l"].matrix),
-    )
-    assert res.defect == pytest.approx(recomputed, abs=1e-9)
-    assert res.quotient_defect >= 0.0
-    if res.passed:
-        assert res.defect <= 0.5 + 1e-9
-        assert res.quotient_defect <= 0.5 + 1e-9
-
-
-def test_kernel_stage_of_coordinate_projection():
-    t = LinearMap(LinfSpace(2), LinfSpace(1), [[1.0, 0.0]])
-    ks = kernel_stage(t, eps=1e-8)
-    assert ks.space.dim == 1
-    assert ks.residual <= 1e-10
-    assert ks.inclusion.op_norm() <= 1.0 + 1e-9
-    assert ks.inclusion.distortion() <= 1e-9
-    assert ks.certificate.passed
-    ok, _ = verify_certificate(ks.certificate)
-    assert ok
-
-
-def test_kernel_stage_trivial_kernel_rejected():
-    t = LinearMap(LinfSpace(2), LinfSpace(2), np.eye(2))
-    with pytest.raises(ValueError, match="trivial kernel"):
-        kernel_stage(t)
-
-
 def test_null_space_rank_cutoffs():
-    # kernel_basis cuts at 1e-10 * max(1, s0) and drops 1e-12; kernel_stage
-    # cuts at 1e-10 * s0 = 1e-13 and keeps it, so its kernel is trivial
+    # kernel_basis cuts at 1e-10 * max(1, s0) and drops 1e-12
     p = np.diag([1e-3, 1e-12])
     assert kernel_basis(p).shape == (2, 1)
-    with pytest.raises(ValueError, match="trivial kernel"):
-        kernel_stage(LinearMap(LinfSpace(2), LinfSpace(2), p))
 
 
 def test_state_chain_exact_compatibility():
@@ -237,5 +198,5 @@ def test_state_absorption_exact_on_simplices():
 def test_state_absorption_certificate_claims_registered():
     from fraisse.certify import CLAIM_REGISTRY
 
-    for tag in ("operator_absorption", "kernel_residual", "state_absorption", "matrix_state_defect"):
+    for tag in ("operator_absorption", "state_absorption", "matrix_state_defect"):
         assert tag in CLAIM_REGISTRY

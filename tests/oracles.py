@@ -9,6 +9,8 @@ are pinned there.
 
 import numpy as np
 
+from fraisse.spaces import LinearMap
+
 FEAS_TOL = 1e-9
 
 
@@ -118,3 +120,8 @@ def random_norming(rng, max_rows=8, dim=2, min_rows=None):
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[-1] > 1e-6 * sv[0]:
             return w
+
+
+def scaled(t, s):
+    """The map s * t between the same two spaces."""
+    return LinearMap(t.dom, t.cod, float(s) * t.matrix)

@@ -33,7 +33,7 @@ def _near_isometry(rng, dom, cod_dim, delta):
     # the loss is measured over the radius-2 ball, so a scale factor 1 - s
     # produces distortion 2 s; stay within delta by capping s at delta / 2
     shrink = 1.0 - rng.uniform(0.0, delta / 2.0) if delta > 0 else 1.0
-    f = f.scale(shrink)
+    f = oracles.scaled(f, shrink)
     assert f.distortion() <= delta + 1e-9
     return f
 

@@ -17,13 +17,13 @@ from fraisse.chains import (
     certify_extension,
     nuclearity_witness,
 )
-from fraisse.lp import solve_lp, use_engine
+from fraisse.lp import LPError, solve_lp, use_engine
 from fraisse.spaces import BANACH, LinearMap, LinfSpace, NormedSpace, map_dist
 
 # A build whose walk filters later sources in the middle of a step: its
 # folds and extensions reach linf^2 and a polytope2 source, whose
 # extensions solve two-row least-coefficient-sum LPs in closed form.
-RESUMPTION_HASH = "b3ae65727329565f535682381fbfa4e22c76ca649fed4965ef85b55f37a18eb0"
+RESUMPTION_HASH = "f05875dd7726b97196940c6faa470b22fae045de6a74a003d16687b5541012ea"
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +119,31 @@ def _sources(chain):
     return Counter(rec["source"]["label"] for rec in chain.records)
 
 
-def test_build_skips_faults_in_pools_it_never_reaches():
-    # a distortion LP of a pool this build never uses fails the residual
-    # check; only the pools the walk reaches may stop a build
-    chain = build_gurarij_chain(depth=5, dim_cap=12, net_resolution=0.25, seed=29)
-    assert chain.depth == 5
-    assert set(_sources(chain)) == {"linf^1"}
+def test_build_skips_faults_in_pools_it_never_reaches(monkeypatch, small_chain):
+    # every pool thunk of a source other than linf^1 raises; the walk
+    # reaches only linf^1, so only a build that filters every pool up
+    # front would stop, and the tower must not depend on the others
+    assert set(_sources(small_chain)) == {"linf^1"}
+    faulty = []
+
+    def fault():
+        raise LPError("fault injected into a pool the walk never reaches")
+
+    def inject(draw):
+        def drawn(source, *args):
+            thunk = draw(source, *args)  # the rng draws happen as before
+            if source.label == "linf^1":
+                return thunk
+            faulty.append(source.label)
+            return fault
+
+        return drawn
+
+    monkeypatch.setattr(chains, "_phi_catalog", inject(chains._phi_catalog))
+    monkeypatch.setattr(chains, "_f_pool", inject(chains._f_pool))
+    chain = build_gurarij_chain(depth=3, dim_cap=12, net_resolution=0.25, seed=0)
+    assert len(faulty) == 2 * 3 * 3  # two thunks of three sources per step
+    assert chain.content_hash() == small_chain.content_hash()
 
 
 def test_walk_resumes_into_later_sources_frozen():

@@ -57,7 +57,7 @@ def test_extend_morphism_exact_at_zero_delta():
         phi = embed_linf(dom)
         f_mat = rng.normal(size=(2, 2))
         f = LinearMap(dom, LinfSpace(2), f_mat)
-        f = f.scale(1.0 / max(1.0, f.op_norm() * (1 + 1e-12)))
+        f = oracles.scaled(f, 1.0 / max(1.0, f.op_norm() * (1 + 1e-12)))
         h = extend_morphism(phi, f, delta=0.0)
         assert map_dist(h @ phi, f) <= 1e-9
         assert h.op_norm() <= 1.0 + 1e-9
@@ -70,12 +70,12 @@ def test_extend_morphism_defect_bound():
             dom = NormedSpace(oracles.random_norming(rng))
             base = embed_linf(dom)
             # shrink the embedding a touch: distortion becomes exactly delta
-            phi = base.scale(1.0 - delta)
+            phi = oracles.scaled(base, 1.0 - delta)
             # loss over the radius-2 ball: 2 - 2 (1 - delta) exactly
             d = phi.distortion()
             assert d == pytest.approx(2.0 * delta, abs=1e-9)
             f = LinearMap(dom, LinfSpace(3), rng.normal(size=(3, 2)))
-            f = f.scale(1.0 / max(1.0, f.op_norm() * (1 + 1e-12)))
+            f = oracles.scaled(f, 1.0 / max(1.0, f.op_norm() * (1 + 1e-12)))
             h = extend_morphism(phi, f, delta=d)
             assert map_dist(h @ phi, f) <= BANACH(d) + 1e-7
             assert h.op_norm() <= 1.0 + 1e-9

@@ -8,6 +8,7 @@ are reached by making the callee fail or the invariant break.
 import numpy as np
 import pytest
 
+import oracles
 from fraisse import amalgam, chains, trace_states, unital, universal
 from fraisse.amalgam import ArrowMorphism, ArrowObject, approx_pushout, arrow_pushout, nap_amalgamate
 from fraisse.certify import Certificate
@@ -44,11 +45,11 @@ INPUT_CHECKS = {
     "pushout domains": (lambda: approx_pushout(E1, ID2, delta=0.0), ValueError, "share their domain"),
     "pushout delta": (lambda: approx_pushout(E1, ID1, delta=1.0), ValueError, ">= 1 rejected"),
     "pushout promise": (
-        lambda: approx_pushout(ID1.scale(0.5), ID1, delta=0.0),
+        lambda: approx_pushout(oracles.scaled(ID1, 0.5), ID1, delta=0.0),
         ValueError,
         "more distortion than promised",
     ),
-    "pushout contraction": (lambda: approx_pushout(ID1, ID1.scale(2.0), delta=0.0), ValueError, "contraction"),
+    "pushout contraction": (lambda: approx_pushout(ID1, oracles.scaled(ID1, 2.0), delta=0.0), ValueError, "contraction"),
     "arrow sources": (lambda: arrow_pushout(SELF1, SELF2, delta=0.0), ValueError, "start at the same arrow"),
     "arrow delta": (lambda: arrow_pushout(SELF1, SELF1, delta=1.0), ValueError, ">= 1 rejected"),
     "norming vector": (lambda: NormedSpace([1.0, 2.0]), ValueError, "must be a matrix"),
@@ -228,7 +229,7 @@ def test_back_and_forth_keeps_its_maps_when_a_round_fails(monkeypatch, tiny_chai
 def test_absorption_check_skips_an_unsolvable_candidate(monkeypatch):
     chain = build_universal_operator_chain(depth=1, seed=0)
     calls = _fail_first(monkeypatch, universal, "_best_contraction_lp", LPInfeasible)
-    res = check_universal_operator_property(chain, ID1.scale(0.5), 0.2, hints=[np.eye(chain.top.dom.dim)[:, :1]])
+    res = check_universal_operator_property(chain, oracles.scaled(ID1, 0.5), 0.2, hints=[np.eye(chain.top.dom.dim)[:, :1]])
     assert calls[:2] == [True, False]
     assert res.via == "search"
 

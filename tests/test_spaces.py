@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fraisse.lp import use_engine
 from fraisse.spaces import (
     BANACH,
     FUNCTION_SYSTEM,
@@ -119,6 +120,71 @@ def test_distortion_against_oracle():
         assert t.distortion() == pytest.approx(oracles.distortion_oracle(t), abs=1e-7)
 
 
+def _exact_distortion(t):
+    with use_engine("exact"):
+        return float(t.distortion())
+
+
+def test_box_distortion_matches_exact_engine_and_oracle(solves):
+    # out of linf^1 and linf^2 the float engine answers in closed form
+    rng = np.random.default_rng(29)
+    for k in range(60):
+        dom = LinfSpace(1 + k % 2)
+        cod = NormedSpace(oracles.random_norming(rng, max_rows=6, dim=1 + k % 3))
+        t0 = LinearMap(dom, cod, rng.normal(size=(cod.dim, dom.dim)))
+        t = oracles.scaled(t0, rng.uniform(0.3, 1.0) / t0.op_norm())
+        got = t.distortion()
+        assert solves["float"] == 0
+        assert got == pytest.approx(_exact_distortion(t), abs=1e-12)
+        if dom.dim == 2:
+            assert got == pytest.approx(oracles.distortion_oracle(t), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dom_dim, cod_rows, matrix, expected",
+    [
+        # exact isometries and signed permutations lose nothing
+        (1, np.eye(2), [[1.0], [0.3]], 0.0),
+        (2, np.eye(2), [[0.0, -1.0], [1.0, 0.0]], 0.0),
+        (2, np.eye(3), [[0.0, 1.0], [-1.0, 0.0], [0.5, -0.5]], 0.0),
+        (2, [[1.0, 1.0], [1.0, -1.0]], [[0.5, 0.5], [0.5, -0.5]], 0.0),
+        # a map that kills a direction, and the zero map
+        (2, np.eye(1), [[1.0, 0.0]], 2.0),
+        (2, np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0),
+        (2, np.eye(3), np.zeros((3, 2)), 2.0),
+        (1, np.eye(1), [[0.0]], 2.0),
+        # a tiny entry keeps the second direction alive
+        (2, np.eye(2), [[1.0, 0.0], [0.0, 5e-13]], 2.0 - 1e-12),
+        # an isometry scaled by 1 - s loses 2 s
+        (1, np.eye(1), [[0.75]], 0.5),
+        (2, np.eye(2), [[0.0, 0.875], [-0.875, 0.0]], 0.25),
+        (2, np.eye(2), [[1.0 - 1e-9, 0.0], [0.0, -(1.0 - 1e-9)]], 2e-9),
+    ],
+)
+def test_box_distortion_special_maps(solves, dom_dim, cod_rows, matrix, expected):
+    t = LinearMap(LinfSpace(dom_dim), NormedSpace(cod_rows), matrix)
+    got = t.distortion()
+    assert solves["float"] == 0
+    assert got == pytest.approx(expected, abs=1e-15)
+    assert got == pytest.approx(_exact_distortion(t), abs=1e-15)
+    if expected in (0.0, 2.0):
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "dom, engine",
+    [(LinfSpace(3), "float"), (NormedSpace([[1.0, 1.0], [1.0, -1.0]]), "float"), (LinfSpace(2), "exact")],
+)
+def test_distortion_keeps_its_lps_off_the_closed_form(solves, dom, engine):
+    # dimension 3, a domain that is not identity-normed, and the exact engine
+    t = oracles.scaled(LinearMap.identity(dom), 0.5)
+    with use_engine(engine):
+        t.op_norm()
+        before = solves[engine]
+        assert t.distortion() == pytest.approx(1.0, abs=1e-9)
+    assert solves[engine] - before == dom.rows
+
+
 def test_distortion_requires_contraction():
     sp = LinfSpace(2)
     t = LinearMap(sp, sp, 2.0 * np.eye(2))
@@ -148,8 +214,8 @@ def test_embed_linf_exact_isometry():
 
 def test_morphism_distortion_scores_only_contractions():
     j = embed_linf(NormedSpace([[1.0, 1.0], [1.0, -1.0], [0.2, 0.9]]))
-    assert morphism_distortion(j.scale(1.5)) == np.inf
-    assert morphism_distortion(j.scale(0.9)) == pytest.approx(0.2, abs=1e-9)
+    assert morphism_distortion(oracles.scaled(j, 1.5)) == np.inf
+    assert morphism_distortion(oracles.scaled(j, 0.9)) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_map_algebra_shape_checks():
@@ -169,7 +235,7 @@ def test_map_dist_zero_on_equal():
     sp = diamond()
     f = LinearMap(sp, sp, [[0.3, 0.1], [0.0, 0.2]])
     assert map_dist(f, f) == pytest.approx(0.0, abs=1e-12)
-    g = f.scale(0.5)
+    g = oracles.scaled(f, 0.5)
     assert map_dist(f, g) == pytest.approx((f - g).op_norm(), abs=1e-12)
 
 

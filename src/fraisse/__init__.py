@@ -17,7 +17,6 @@ from .amalgam import (
 )
 from .certify import Certificate, canonical_dumps, content_hash, verify_certificate
 from .chains import (
-    MorphismNet,
     ResourceLimitError,
     StageChain,
     back_and_forth,
@@ -84,7 +83,6 @@ __all__ = [
     "LinearMap",
     "LinfSpace",
     "MatrixState",
-    "MorphismNet",
     "NormedSpace",
     "ResourceLimitError",
     "StageChain",

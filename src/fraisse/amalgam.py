@@ -55,7 +55,7 @@ NAP_DEFECT = Claim(
 )
 
 
-def nap_amalgamate(f_x, f_y, delta=None):
+def nap_amalgamate(f_x, f_y, delta):
     """Amalgamate two almost-embeddings of E into injective targets.
 
     f_x: E -> X, f_y: E -> Y with distortion <= delta, X and Y identity
@@ -68,8 +68,6 @@ def nap_amalgamate(f_x, f_y, delta=None):
         raise ValueError("the two almost-embeddings must share their domain")
     if not (f_x.cod.is_linf and f_y.cod.is_linf):
         raise ValueError("amalgamation targets must be identity normed")
-    if delta is None:
-        delta = max(f_x.distortion(), f_y.distortion())
     if delta >= 1.0:
         raise ValueError(f"delta = {delta} >= 1 rejected")
     h_x = extend_morphism(f_x, f_y, delta=delta, check=False)

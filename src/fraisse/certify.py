@@ -165,16 +165,6 @@ class Certificate:
             raise ValueError("certificate inputs do not match their recorded hash")
         return cert
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def read(path):
-        with open(path) as fh:
-            return Certificate.from_json(json.load(fh))
-
     def summary_line(self):
         state = "pass" if self.passed else "FAIL"
         return (

@@ -50,7 +50,7 @@ F_PER_PAIR = 2  # candidate maps per source beyond the padded presentation isome
 SIGNED_PERMS = 2  # signed-permutation twists of the presentation isometry per source
 SLACK = 0.1  # certified bound of extensions and couplings: modulus(delta) + SLACK
 START_DIM = 1  # dimension of the Gurarij tower's first stage, linf^START_DIM
-NET_CAP = 400  # most members of a morphism net behind a candidate pool
+NET_CAP = 400  # most members of any morphism net
 
 
 class ResourceLimitError(RuntimeError):
@@ -59,30 +59,6 @@ class ResourceLimitError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # morphism nets
-
-
-class MorphismNet:
-    """A finite family of candidate contractions source -> target.
-
-    certified means every contraction is within resolution (operator
-    distance) of some member; a sampled net only promises the members it
-    has.
-    """
-
-    def __init__(self, source, target, members, resolution, certified, total, seed):
-        self.source = source
-        self.target = target
-        self.members = members
-        self.resolution = resolution
-        self.certified = certified
-        self.total = total
-        self.seed = seed
-
-    def __len__(self):
-        return len(self.members)
-
-    def maps(self):
-        return [LinearMap(self.source, self.target, m) for m in self.members]
 
 
 def _row_grid(source, pitch, resolution):
@@ -99,18 +75,21 @@ def _row_grid(source, pitch, resolution):
     return grids
 
 
-def build_morphism_net(source, target, resolution, cap=2000, seed=0, require_certified=False):
-    """Grid net over the contractions source -> target.
+def build_morphism_net(source, target, resolution, seed):
+    """Grid net over the contractions source -> target, as a list of maps.
 
     Rows are gridded independently with pitch
     resolution / (dim_s * dim_t * C * D), C the largest dual norm of a
     source coordinate functional, D the largest target norm of a basis
     vector; entrywise rounding of any contraction then moves it by at
-    most resolution/2 and keeps every row in the widened dual ball, so a
-    fully enumerated net is certified to resolution. When enumeration
-    would exceed cap the net falls back to seeded sampling and says so,
-    unless require_certified insists, in which case the needed cardinality
-    is reported in the error.
+    most resolution/2 and keeps every row in the widened dual ball. The
+    net is certified to resolution (every contraction lies within
+    resolution, in operator distance, of a member) exactly when it
+    enumerates the whole grid of admissible rows, which it does when that
+    grid has at most NET_CAP members. Otherwise it is a seeded sample of
+    at most NET_CAP distinct grid maps: drawn from the admissible rows
+    when one target row's grid has at most NET_CAP points, else entry by
+    entry with the inadmissible draws dropped.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -121,55 +100,43 @@ def build_morphism_net(source, target, resolution, cap=2000, seed=0, require_cer
     pitch = resolution / (source.dim * target.dim * c * d)
     grids = _row_grid(source, pitch, resolution)
     row_total = int(np.prod([len(g) for g in grids]))
-    total = float(row_total) ** target.dim
 
     def _row_ok(row):
         return source.dual_norm(row) <= 1.0 + resolution + 1e-12
 
     rng = np.random.default_rng(seed)
-    if row_total <= cap:
+    members = []
+    seen = set()
+    if row_total <= NET_CAP:
         rows = [np.array(r) for r in itertools.product(*grids)]
         rows = [r for r in rows if _row_ok(r)]
-        full = float(len(rows)) ** target.dim
-        if full <= cap:
+        if float(len(rows)) ** target.dim <= NET_CAP:
             members = [np.array(pick) for pick in itertools.product(rows, repeat=target.dim)]
-            return MorphismNet(source, target, members, resolution, True, len(members), seed)
-        if require_certified:
-            raise ResourceLimitError(
-                f"certified net needs {full:.0f} members, cap is {cap}"
-            )
-        members = []
-        seen = set()
-        for _ in range(cap * 4):
-            if len(members) >= cap:
+        else:
+            for _ in range(NET_CAP * 4):
+                if len(members) >= NET_CAP:
+                    break
+                pick = rng.integers(0, len(rows), size=target.dim)
+                key = pick.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                members.append(np.array([rows[i] for i in pick]))
+    else:
+        for _ in range(NET_CAP * 8):
+            if len(members) >= NET_CAP:
                 break
-            pick = rng.integers(0, len(rows), size=target.dim)
-            key = pick.tobytes()
+            mat = np.array(
+                [[g[i] for g, i in zip(grids, rng.integers(0, [len(g) for g in grids]))]
+                 for _ in range(target.dim)]
+            )
+            key = mat.tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            members.append(np.array([rows[i] for i in pick]))
-        return MorphismNet(source, target, members, resolution, False, total, seed)
-    if require_certified:
-        raise ResourceLimitError(
-            f"certified net needs {total:.0f} members ({row_total} rows), cap is {cap}"
-        )
-    members = []
-    seen = set()
-    for _ in range(cap * 8):
-        if len(members) >= cap:
-            break
-        mat = np.array(
-            [[g[i] for g, i in zip(grids, rng.integers(0, [len(g) for g in grids]))]
-             for _ in range(target.dim)]
-        )
-        key = mat.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if all(_row_ok(r) for r in mat):
-            members.append(mat)
-    return MorphismNet(source, target, members, resolution, False, total, seed)
+            if all(_row_ok(r) for r in mat):
+                members.append(mat)
+    return [LinearMap(source, target, m) for m in members]
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +307,8 @@ def _f_pool(source, stage, rng, net_resolution):
             out.append((LinearMap(source, stage, pad), 0.0))
         candidates = drawn
         if drawn is None:
-            net = build_morphism_net(source, stage, net_resolution, cap=NET_CAP, seed=net_seed)
-            candidates = (m for m in net.maps() if m.op_norm() <= 1.0 + 1e-9)
+            net = build_morphism_net(source, stage, net_resolution, net_seed)
+            candidates = (m for m in net if m.op_norm() <= 1.0 + 1e-9)
         for cand in candidates:
             dist = cand.distortion()
             if dist <= 0.45:

@@ -380,6 +380,9 @@ def main(argv=None):
     except (ResourceLimitError, LPError, ValueError, KeyError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

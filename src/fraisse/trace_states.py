@@ -257,17 +257,12 @@ class MatrixEmbedding:
 
 
 class MatrixEmbeddingResult:
-    def __init__(self, embedding, block, block_norm, block_trace, ell, certificate):
+    def __init__(self, embedding, block, block_norm, block_trace, certificate):
         self.embedding = embedding
         self.block = block
         self.block_norm = block_norm
         self.block_trace = block_trace
-        self.ell = ell
         self.certificate = certificate
-
-    @property
-    def bound(self):
-        return 16.0 / self.ell
 
 
 def pullback_defect(block, t_state, x):
@@ -316,7 +311,7 @@ MATRIX_STATE_DEFECT = Claim(
 )
 
 
-def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
+def minimal_embedding(s_state, t_state, ell, seed, samples):
     """Embed M_d into M_{kd} carrying t almost onto the restriction of s.
 
     Takes the state s on the big algebra and the target t on the small
@@ -325,9 +320,9 @@ def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
     at least ell |P| + 1 blocks of size d, which find_light_block checks.
     The embedding is exactly unital, self-adjoint and isometric (the
     operator norm of diag(x, t(x) I) is max(||x||, |t(x)|) = ||x||); the
-    certificate freezes the seeded sampled defect of the pulled-back
-    state against t, which depends on the density matrix only through
-    the light block.
+    certificate freezes the defect of the pulled-back state against t
+    sampled at `samples` Hermitian unit matrices drawn from `seed`, which
+    depends on the density matrix only through the light block.
     """
     d = t_state.dim
     k = s_state.dim // d
@@ -345,7 +340,7 @@ def minimal_embedding(s_state, t_state, ell, seed=0, samples=1000):
     cert = MATRIX_STATE_DEFECT.certificate(
         16.0 / ell, worst, payload=payload, block=block, t=t_state.density, seed=seed, samples=samples
     )
-    return MatrixEmbeddingResult(emb, block, block_norm, block_trace, ell, cert)
+    return MatrixEmbeddingResult(emb, block, block_norm, block_trace, cert)
 
 
 def embedding_checks(result, s_state):

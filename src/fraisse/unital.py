@@ -51,9 +51,6 @@ class FunctionSystem(NormedSpace):
         self.unit = u.copy()
         self.unit.setflags(write=False)
 
-    def state(self, weights):
-        return StateVector(self, weights)
-
 
 def simplex_system(n):
     """The coordinate function system: identity rows, unit all ones."""
@@ -89,9 +86,6 @@ class StateVector:
     @property
     def functional(self):
         return self.weights @ self.system.norming
-
-    def __call__(self, x):
-        return float(self.functional @ np.asarray(x, dtype=float))
 
 
 def _hull_distance(hull, w, row):
@@ -135,15 +129,16 @@ POULSEN_SEPARATION_GAP = Claim(
 
 
 class PoulsenStep:
-    def __init__(self, system, phi, new_row_index, margin, certificate):
+    """One step of the tower; its new row is the last row of system."""
+
+    def __init__(self, system, phi, margin, certificate):
         self.system = system
         self.phi = phi
-        self.new_row_index = new_row_index
         self.margin = margin
         self.certificate = certificate
 
 
-def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
+def poulsen_extension_step(system, target):
     """Extend a function system by one coordinate that evaluates a state.
 
     target is a StateVector (or weight vector) of the current system. The
@@ -154,7 +149,7 @@ def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
     system the new row restricts to the chosen state -- which is now
     separated from the hull of the other rows by a measured margin
     (trivially at least one in the new coordinate, but measured in the
-    dual norm and certified against tau, not assumed).
+    dual norm and certified against SEPARATION_TAU, not assumed).
     """
     if not isinstance(system, FunctionSystem):
         raise ValueError("poulsen_extension_step needs a function system")
@@ -174,9 +169,10 @@ def poulsen_extension_step(system, target, tau=SEPARATION_TAU):
     idx = system.rows
     margin = _ext_margin(grown, idx)
     cert = POULSEN_SEPARATION_GAP.certificate(
-        0.0, tau - margin, system=grown, new_row=idx, tau=tau, target_weights=target.weights
+        0.0, SEPARATION_TAU - margin,
+        system=grown, new_row=idx, tau=SEPARATION_TAU, target_weights=target.weights,
     )
-    return PoulsenStep(grown, phi, idx, margin, cert)
+    return PoulsenStep(grown, phi, margin, cert)
 
 
 def build_poulsen_chain(depth, targets_per_step=1, *, seed):
@@ -277,16 +273,19 @@ MINIMALITY_DEFECT = Claim("minimality_defect", 1e-9, _minimality_defect, s=VECTO
 def minimality_map(s, t, eps):
     """Unital isometry of coordinate systems pulling the state t back near s.
 
-    s lives on d coordinates, t on m. The map replicates the functional
-    x -> s(x) on the first m - d output coordinates and keeps an identity
-    block on the last d, so it is exactly unital, positive, and isometric
-    with no tolerance. The d lightest atoms of t ride the identity block
-    (matched to the weights of s by exhausting the d! assignments), hence
-    the pullback error is at most twice their mass; with
-    eta = eps / (2 d) and m at least ceil(1/eta) + d, which is checked,
-    that mass is under d * eta and the pullback lands within eps of s,
-    the certificate's bound. The error is the dual norm of the
-    difference, computed both in closed form and by LP.
+    s lives on d coordinates, t on m. The map sends each of the d
+    lightest atoms of t to one coordinate of s and replicates the
+    functional x -> s(x) on the other m - d output coordinates, so it is
+    exactly unital, positive, and isometric with no tolerance. The i-th
+    lightest atom goes to the i-th smallest weight of s (both sorted
+    stably): the error to minimize is sum |t_i - mass * s_j| over the
+    matched pairs, and for such costs the sorted matching is an optimal
+    assignment, so none of the d! others is tried. The pullback error is
+    at most twice the mass of the light atoms; with eta = eps / (2 d) and
+    m at least ceil(1/eta) + d, which is checked, that mass is under
+    d * eta and the pullback lands within eps of s, the certificate's
+    bound. The error is the dual norm of the difference, computed both
+    in closed form and by LP.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -302,19 +301,15 @@ def minimality_map(s, t, eps):
 
     light = list(np.argsort(t, kind="stable")[:d])
     block_mass = float(np.sum(t[light]))
-    # match the light atoms to coordinates of s for the smallest pullback error
-    best_perm, best_err = None, np.inf
-    for perm in itertools.permutations(range(d)):
-        err = sum(abs(t[light[i]] - block_mass * s[perm[i]]) for i in range(d))
-        if err < best_err:
-            best_err, best_perm = err, perm
+    # the i-th lightest atom carries the i-th smallest weight of s
+    order = np.argsort(s, kind="stable")
 
     dom = simplex_system(d)
     cod = simplex_system(m)
     phi_mat = np.zeros((m, d))
     for i in range(m):
         if i in light:
-            phi_mat[i, best_perm[light.index(i)]] = 1.0
+            phi_mat[i, order[light.index(i)]] = 1.0
         else:
             phi_mat[i, :] = s
     phi = LinearMap(dom, cod, phi_mat)

@@ -598,7 +598,7 @@ def check_universal_state_property(state_chain, system, sigma, eps):
     # coordinates in these towers, so pinning the coordinate pins the
     # functional alpha attains there)
     free = [i for i in range(target.dim) if abs(s_func[i]) < 1e-12]
-    if np.array_equal(w_t, np.eye(target.dim)):
+    if target.is_linf:
         for l in range(min(w_e.shape[0], len(free))):
             lp.add_eq(w_e[l], (alpha[free[l]], np.eye(system.dim)))
     res = lp.solve(mu)

@@ -16,6 +16,7 @@ pytest does not collect this file: its name does not start with `test_`.
 """
 
 import ast
+import contextlib
 import sys
 import threading
 from pathlib import Path
@@ -35,6 +36,18 @@ def _local(frame, event, arg):
 
 def _global(frame, event, arg):
     return _local if frame.f_code.co_filename in hit else None
+
+
+@contextlib.contextmanager
+def tracing():
+    """Record the lines run in src/fraisse, in this thread and new ones."""
+    sys.settrace(_global)
+    threading.settrace(_global)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
 
 
 def statements(tree):
@@ -68,13 +81,8 @@ def unrun():
 def main():
     import pytest
 
-    sys.settrace(_global)
-    threading.settrace(_global)
-    try:
+    with tracing():
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
     missing, total = unrun()
     for line in missing:
         print(line)

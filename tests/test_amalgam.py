@@ -61,11 +61,11 @@ def test_nap_validation():
     f_x = LinearMap(a, b, np.vstack([np.eye(2), np.zeros((1, 2))]))
     f_bad_dom = LinearMap(LinfSpace(3), b, np.eye(3))
     with pytest.raises(ValueError, match="share their domain"):
-        nap_amalgamate(f_x, f_bad_dom)
+        nap_amalgamate(f_x, f_bad_dom, delta=0.0)
     crooked = NormedSpace([[1.0, 1.0], [1.0, -1.0]])
     f_bad_cod = LinearMap(a, crooked, 0.5 * np.eye(2))
     with pytest.raises(ValueError, match="identity normed"):
-        nap_amalgamate(f_x, f_bad_cod)
+        nap_amalgamate(f_x, f_bad_cod, delta=0.0)
 
 
 def test_nap_certificate_roundtrip():

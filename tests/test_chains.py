@@ -9,7 +9,6 @@ import pytest
 from fraisse import chains
 from fraisse.certify import parse_real, verify_certificate
 from fraisse.chains import (
-    ResourceLimitError,
     StageChain,
     back_and_forth,
     build_gurarij_chain,
@@ -32,47 +31,40 @@ def small_chain():
 
 
 def test_net_members_are_near_contractions():
-    net = build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=0.5, cap=500)
-    assert net.certified
-    assert len(net) == net.total
-    for t in net.maps():
+    # the whole grid: 13 admissible rows per target row, 169 <= NET_CAP
+    net = build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=0.5, seed=0)
+    assert len(net) == 13**2
+    for t in net:
         assert t.op_norm() <= 1.0 + 0.5 + 1e-9
 
 
 def test_net_covers_a_given_contraction():
     res = 0.5
-    net = build_morphism_net(LinfSpace(1), LinfSpace(1), resolution=res, cap=500)
+    net = build_morphism_net(LinfSpace(1), LinfSpace(1), resolution=res, seed=0)
     rng = np.random.default_rng(5)
     for _ in range(10):
         t = LinearMap(LinfSpace(1), LinfSpace(1), [[float(rng.uniform(-1, 1))]])
-        best = min(map_dist(t, u) for u in net.maps())
+        best = min(map_dist(t, u) for u in net)
         assert best <= res / 2.0 + 1e-9
 
 
-def test_net_certified_cap_raises():
-    with pytest.raises(ResourceLimitError, match="cap"):
-        build_morphism_net(
-            LinfSpace(3), LinfSpace(3), resolution=0.05, cap=10, require_certified=True
-        )
-
-
-def test_net_sampling_fallback():
-    net = build_morphism_net(LinfSpace(2), LinfSpace(2), resolution=0.25, cap=50)
-    assert not net.certified
+def test_net_sampling_fallback(monkeypatch):
+    monkeypatch.setattr(chains, "NET_CAP", 50)
+    net = build_morphism_net(LinfSpace(2), LinfSpace(2), resolution=0.25, seed=0)
     assert len(net) <= 50
 
 
-def test_net_sampling_skips_repeated_draws():
+def test_net_sampling_skips_repeated_draws(monkeypatch):
     # 60 of the 81 grid maps linf^1 -> linf^2, drawn with repeats
-    net = build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=1.0, cap=60)
-    assert not net.certified and net.total == 81
+    monkeypatch.setattr(chains, "NET_CAP", 60)
+    net = build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=1.0, seed=0)
     assert len(net) == 60
-    assert len({m.tobytes() for m in net.members}) == 60
+    assert len({m.matrix.tobytes() for m in net}) == 60
 
 
 def test_net_bad_resolution():
     with pytest.raises(ValueError, match="positive"):
-        build_morphism_net(LinfSpace(1), LinfSpace(1), resolution=0.0)
+        build_morphism_net(LinfSpace(1), LinfSpace(1), resolution=0.0, seed=0)
 
 
 def test_chain_growth_and_isometric_connectives(small_chain):

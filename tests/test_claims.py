@@ -50,7 +50,7 @@ def _certificates():
     out = {}
     f_x = LinearMap(e1, e2, [[1.0], [0.5]])
     f_y = LinearMap(e1, e2, [[0.95], [-0.25]])
-    out["nap_defect"] = nap_amalgamate(f_x, f_y).certificate(f_x, f_y)
+    out["nap_defect"] = nap_amalgamate(f_x, f_y, max(f_x.distortion(), f_y.distortion())).certificate(f_x, f_y)
     phi = LinearMap(e1, e2, [[0.96], [0.3]])
     f = LinearMap(e1, e2, [[0.5], [-0.8]])
     out["pushout_defect"] = approx_pushout(phi, f, delta=0.1).certificate(phi, f)

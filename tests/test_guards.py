@@ -13,11 +13,9 @@ from fraisse import amalgam, chains, trace_states, unital, universal
 from fraisse.amalgam import ArrowMorphism, ArrowObject, approx_pushout, arrow_pushout, nap_amalgamate
 from fraisse.certify import Certificate
 from fraisse.chains import (
-    ResourceLimitError,
     StageChain,
     back_and_forth,
     build_gurarij_chain,
-    build_morphism_net,
     certify_extension,
 )
 from fraisse.lp import LPInfeasible, LPResult
@@ -59,11 +57,6 @@ INPUT_CHECKS = {
         lambda: hahn_banach_extend(LinearMap(LinfSpace(2), LinfSpace(1), [[1.0, 0.0]]), [0.0, 1.0], 1.0, check=False),
         ValueError,
         "extension system infeasible",
-    ),
-    "certified net cap": (
-        lambda: build_morphism_net(LinfSpace(1), LinfSpace(2), resolution=1.0, cap=60, require_certified=True),
-        ResourceLimitError,
-        "certified net needs 81 members, cap is 60",
     ),
     "stage connectives": (
         lambda: StageChain("gurarij", [LinfSpace(1)], [ID1], [], {}),
@@ -272,7 +265,7 @@ def test_embedding_checks_catch_a_broken_embedding(monkeypatch, breaker, message
     rng = np.random.default_rng(103)
     s = MatrixState(random_density(2 * (2 * len(projector_family(2)) + 1), rng))
     t = MatrixState(random_density(2, rng))
-    res = minimal_embedding(s, t, ell=2, samples=10)
+    res = minimal_embedding(s, t, ell=2, seed=0, samples=10)
     assert embedding_checks(res, s) <= 1e-12
     apply = trace_states.MatrixEmbedding.apply
     monkeypatch.setattr(trace_states.MatrixEmbedding, "apply", lambda self, x: breaker(apply(self, x), x))

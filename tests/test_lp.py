@@ -101,15 +101,15 @@ def test_use_engine_scope_precedence_and_restore():
 def test_engine_scope_reaches_every_solve(solves, tmp_path):
     space = NormedSpace([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, -1.0]])
     with use_engine("exact"):
-        net = build_morphism_net(LinfSpace(1), LinfSpace(1), 0.5)
+        net = build_morphism_net(LinfSpace(1), LinfSpace(1), 0.5, 0)
         _, kept = prune_redundant_rows(space)
     assert solves["float"] == 0 and solves["exact"] > 0
-    assert net.certified
+    assert len(net) == 7  # the whole grid, so a certified net
     assert kept == prune_redundant_rows(space)[1] == [0, 1, 3]
 
     f = LinearMap(LinfSpace(1), LinfSpace(1), [[1.0]])
     path = tmp_path / "nap.json"
-    nap_amalgamate(f, f).certificate(f, f).write(path)
+    path.write_text(json.dumps(nap_amalgamate(f, f, f.distortion()).certificate(f, f).to_json()))
     solves["float"] = 0
     assert main(["--engine", "exact", "verify", str(path)]) == 0
     assert solves["float"] == 0

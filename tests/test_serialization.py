@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fraisse import trace_states
 from fraisse.amalgam import nap_amalgamate
 from fraisse.certify import (
     Certificate,
@@ -79,8 +80,8 @@ def test_certificate_payload_roundtrip(tmp_path):
     for cert, keys in ((mini, {"block_mass"}), (ext, {"distortion", "stage"})):
         assert set(cert.payload) == keys
         path = tmp_path / f"{cert.claim}.json"
-        cert.write(path)
-        back = Certificate.read(path)
+        path.write_text(json.dumps(cert.to_json()))
+        back = Certificate.from_json(json.loads(path.read_text()))
         assert back.payload == cert.payload
         assert back.inputs_hash == cert.inputs_hash
     older = mini.to_json()
@@ -96,8 +97,8 @@ def test_certificate_roundtrip_and_tamper(tmp_path):
     assert back.measured == cert.measured
     assert back.passed
     path = tmp_path / "cert.json"
-    cert.write(path)
-    assert Certificate.read(path).inputs_hash == cert.inputs_hash
+    path.write_text(json.dumps(data))
+    assert Certificate.from_json(json.loads(path.read_text())).inputs_hash == cert.inputs_hash
     tampered = dict(data)
     tampered["inputs"] = {"v": fmt_vector([0.4, 0.6])}
     with pytest.raises(ValueError, match="hash"):
@@ -118,7 +119,7 @@ def test_verify_unknown_claim_raises(claim, tmp_path, capsys):
     with pytest.raises(KeyError, match="no verifier"):
         verify_certificate(cert)
     path = tmp_path / "cert.json"
-    cert.write(path)
+    path.write_text(json.dumps(cert.to_json()))
     assert main(["verify", str(path)]) == 2
     assert "no verifier registered for claim" in capsys.readouterr().err
 
@@ -207,7 +208,7 @@ def test_cli_verify_tampered_certificate(tmp_path, capsys):
 
 def _nap_certificate_json():
     f = LinearMap(LinfSpace(1), LinfSpace(1), [[1.0]])
-    return nap_amalgamate(f, f).certificate(f, f).to_json()
+    return nap_amalgamate(f, f, f.distortion()).certificate(f, f).to_json()
 
 
 def _unhashed(cert, **fields):
@@ -393,6 +394,17 @@ def test_cli_matrix_minimality_rejects_a_non_positive_eps(eps, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --eps must be positive")
+
+
+def test_cli_out_of_memory_is_a_resource_error(monkeypatch, capsys):
+    # at --eps 0.001 the big density matrix alone would take about 1 TiB
+    def exhausted(dim, rng):
+        raise MemoryError(f"Unable to allocate array with shape ({dim}, {dim})")
+
+    monkeypatch.setattr(trace_states, "random_density", exhausted)
+    assert main(["matrix-minimality", "--eps", "0.001"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate")
 
 
 def test_cli_matrix_minimality_unimplemented_dimension():

@@ -224,7 +224,7 @@ def test_minimal_embedding_argument_validation():
     s = MatrixState(random_density(2 * 25 + 1, rng))
     t = MatrixState(random_density(2, rng))
     with pytest.raises(ValueError, match="not a multiple of the block size 2"):
-        minimal_embedding(s, t, ell=2)
+        minimal_embedding(s, t, ell=2, seed=0, samples=10)
 
 
 def test_minimal_embedding_small_scale():
@@ -236,7 +236,7 @@ def test_minimal_embedding_small_scale():
     s = MatrixState(random_density(2 * k, rng))
     t = MatrixState(random_density(2, rng))
     res = minimal_embedding(s, t, ell=ell, seed=5, samples=200)
-    assert res.bound == pytest.approx(16.0 / ell)
+    assert res.certificate.bound == pytest.approx(16.0 / ell)
     assert res.certificate.passed
     assert res.block_norm <= 8.0 / ell + 1e-12
     assert res.block_trace <= 8.0 / ell + 1e-12
@@ -327,7 +327,7 @@ def test_sampled_defect_needs_samples(samples):
     s = MatrixState(random_density(2 * 25, rng))
     t = MatrixState(random_density(2, rng))
     with pytest.raises(ValueError, match="at least one sample"):
-        minimal_embedding(s, t, ell=2, samples=samples)
+        minimal_embedding(s, t, ell=2, seed=0, samples=samples)
     # a certificate claiming a sup over no samples does not recheck to 0
     cert = _defect_certificate(0.01 * np.eye(2), t, 0, samples, 0.0)
     with pytest.raises(ValueError, match="at least one sample"):
@@ -339,7 +339,7 @@ def test_verify_rejects_a_non_finite_block(tmp_path, capsys):
     t = MatrixState(random_density(2, rng))
     block = random_density(2, rng).matrix / 10.0
     path = tmp_path / "defect.json"
-    _defect_certificate(block, t, 0, 100, _looped_defect(block, t, 0, 100)).write(path)
+    path.write_text(json.dumps(_defect_certificate(block, t, 0, 100, _looped_defect(block, t, 0, 100)).to_json()))
     assert main(["verify", str(path)]) == 0
     # a tampered block whose defects come out NaN must not recheck as 0
     cert = json.loads(path.read_text())

@@ -1,5 +1,7 @@
 """Function systems: states, dense-boundary tower, checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,14 +43,14 @@ def test_state_vector_validation_and_evaluation():
         StateVector(sys3, np.array([-0.2, 0.6, 0.6]))
     with pytest.raises(ValueError, match="sum"):
         StateVector(sys3, np.array([0.5, 0.5, 0.5]))
-    s = sys3.state(np.array([0.2, 0.3, 0.5]))
-    assert s(sys3.unit) == pytest.approx(1.0)
-    assert s(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.2)
+    s = StateVector(sys3, np.array([0.2, 0.3, 0.5]))
+    assert s.functional @ sys3.unit == pytest.approx(1.0)
+    assert s.functional @ np.array([1.0, 0.0, 0.0]) == pytest.approx(0.2)
 
 
 def test_poulsen_step_structure():
     sys2 = simplex_system(2)
-    step = poulsen_extension_step(sys2, np.array([0.4, 0.6]), tau=0.5)
+    step = poulsen_extension_step(sys2, np.array([0.4, 0.6]))
     grown = step.system
     assert grown.dim == 3 and grown.rows == 3
     phi = step.phi
@@ -57,7 +59,7 @@ def test_poulsen_step_structure():
     assert phi.op_norm() <= 1.0 + 1e-9
     assert phi.distortion() <= 1e-9
     # the new row restricts to the chosen state on the image
-    assert np.max(np.abs(grown.norming[step.new_row_index] @ phi.matrix - np.array([0.4, 0.6]))) <= 1e-12
+    assert np.max(np.abs(grown.norming[-1] @ phi.matrix - np.array([0.4, 0.6]))) <= 1e-12
     assert step.margin >= 0.5 - 1e-9
     assert step.certificate.passed
     ok, _ = verify_certificate(step.certificate)
@@ -115,6 +117,31 @@ def test_minimality_map_exactness():
         assert res.certificate.passed
         ok, _ = verify_certificate(res.certificate)
         assert ok
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_minimality_map_finds_the_best_assignment(d):
+    # the sorted matching of the light atoms to the weights of s, against
+    # the best of all d! assignments
+    rng = np.random.default_rng(60 + d)
+    eps = 0.5
+    m = int(np.ceil(2 * d / eps)) + d
+    for _ in range(5):
+        s = rng.dirichlet(np.ones(d))
+        t = rng.dirichlet(np.ones(m))
+        light = np.sort(t)[:d]
+        perms = itertools.permutations(range(d))
+        best = min(np.sum(np.abs(light - light.sum() * s[list(perm)])) for perm in perms)
+        assert minimality_map(s, t, eps=eps).defect == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+
+def test_minimality_map_at_twelve_coordinates():
+    # 12! = 479001600 assignments, none of them tried
+    rng = np.random.default_rng(72)
+    d, eps = 12, 0.5
+    m = int(np.ceil(2 * d / eps)) + d
+    res = minimality_map(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(m)), eps=eps)
+    assert res.certificate.passed and res.defect <= 2.0 * res.block_mass + 1e-12
 
 
 def test_minimality_map_validation():
